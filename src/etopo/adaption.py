@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional
+from itertools import chain
+from operator import itemgetter
+from typing import Mapping
 
 from .basegraph import BaseGraph, best_link
 from .errors import NotConnectedError
@@ -54,14 +56,35 @@ class AdaptedLinkSet:
     connected pairs whose every link fell below threshold. p_star_by_link
     carries the same field per link id for consumers that need per-link
     values (the assignment objective).
+
+    The set belongs to the base-graph it was adapted on: adjacency holds,
+    per node of that graph, its (neighbor, link id) contacts over retained
+    links in the graph's contact order, and every graph walk reads it
+    through adjacency_on.
     """
 
     links: frozenset[LinkId]
     p_star: Mapping[tuple[NodeId, NodeId], float]
     p_star_by_link: Mapping[LinkId, float]
+    graph: BaseGraph = field(compare=False, repr=False)
+    adjacency: Mapping[NodeId, tuple[tuple[NodeId, LinkId], ...]] = field(
+        compare=False, repr=False
+    )
 
     def link_p_star(self, link_id: LinkId) -> float:
         return self.p_star_by_link.get(link_id, 0.0)
+
+    def adjacency_on(
+        self, graph: BaseGraph
+    ) -> Mapping[NodeId, tuple[tuple[NodeId, LinkId], ...]]:
+        """The retained contacts per node; nodes without any may be absent.
+
+        Raises ValueError when graph is not the very base-graph object this
+        set was adapted on, since the rows mirror that graph's contacts.
+        """
+        if graph is not self.graph:
+            raise ValueError("adapted link set was built on a different base-graph")
+        return self.adjacency
 
 
 def _updated_link_probability(
@@ -96,13 +119,30 @@ def updated_probability(
     return max(_updated_link_probability(l, policy, mode) for l in links)
 
 
+def _retained_adjacency(
+    graph: BaseGraph, kept: frozenset[LinkId]
+) -> Mapping[NodeId, tuple[tuple[NodeId, LinkId], ...]]:
+    """graph's contacts restricted to kept links, sharing every unpruned row."""
+    contacts = graph.contacts
+    link_of = itemgetter(1)
+    if kept.issuperset(map(link_of, chain.from_iterable(contacts.values()))):
+        return contacts
+    adjacency = {}
+    for node, row in contacts.items():
+        if not kept.issuperset(map(link_of, row)):
+            row = tuple(c for c in row if c[1] in kept)
+        adjacency[node] = row
+    return adjacency
+
+
 def adapt(
     graph: BaseGraph,
     network: OverlayNetwork,
     policy: ThresholdPolicy,
     mode: PStarMode = PStarMode.MEASURED,
 ) -> AdaptedLinkSet:
-    """Filter every link against its level threshold, for all contacts of all nodes."""
+    """Filter every link against its level threshold, for all contacts of all
+    nodes, and index the survivors by node of graph for routing."""
     kept: set[LinkId] = set()
     p_star: dict[tuple[NodeId, NodeId], float] = {}
     by_link: dict[LinkId, float] = {}
@@ -113,8 +153,10 @@ def adapt(
         by_link[link.id] = updated
         pair = link.pair
         p_star[pair] = max(p_star.get(pair, 0.0), updated)
+    links = frozenset(kept)
     return AdaptedLinkSet(
-        links=frozenset(kept), p_star=p_star, p_star_by_link=by_link
+        links=links, p_star=p_star, p_star_by_link=by_link,
+        graph=graph, adjacency=_retained_adjacency(graph, links),
     )
 
 
@@ -124,11 +166,10 @@ def adapt_and_route(
     policy: ThresholdPolicy,
     source: NodeId,
     target: NodeId,
-    rng_seed: Optional[int] = None,
     mode: PStarMode = PStarMode.MEASURED,
 ):
     """Run the threshold filter, then route over the adapted set."""
     from .routing import route
 
     adapted = adapt(graph, network, policy, mode)
-    return route(graph, adapted, source, target, rng_seed=rng_seed)
+    return route(graph, adapted, source, target)

@@ -371,15 +371,15 @@ def enumerate_simple_paths(
 ) -> list[tuple[tuple[NodeId, ...], tuple[LinkId, ...]]]:
     """All node-simple paths over the adapted set, link-resolved."""
     results: list[tuple[tuple[NodeId, ...], tuple[LinkId, ...]]] = []
-    graph = instance.graph
+    adjacency = instance.adapted.adjacency_on(instance.graph)
 
     def extend(nodes: list[NodeId], links: list[LinkId]) -> None:
         current = nodes[-1]
         if current == target:
             results.append((tuple(nodes), tuple(links)))
             return
-        for nbr, lid in graph.contacts_of(current):
-            if lid not in instance.adapted.links or nbr in nodes:
+        for nbr, lid in adjacency.get(current, ()):
+            if nbr in nodes:
                 continue
             nodes.append(nbr)
             links.append(lid)
@@ -630,6 +630,7 @@ def _greedy_serve(
     outcome = route(instance.graph, instance.adapted, demand.source, demand.target)
     if not outcome.found:
         return None
+    adjacency = instance.adapted.adjacency_on(instance.graph)
     nodes = list(outcome.path.nodes)
     links = list(outcome.path.links)
     path_nodes = [demand.source]
@@ -651,8 +652,8 @@ def _greedy_serve(
         # The link's states are exhausted here: spill onto another link of
         # this intermediate node and route onward from its far endpoint.
         spilled = False
-        for nbr, alt in instance.graph.contacts_of(current):
-            if alt not in instance.adapted.links or alt == link or alt == arrived_by:
+        for nbr, alt in adjacency.get(current, ()):
+            if alt == link or alt == arrived_by:
                 continue
             if nbr in path_nodes:
                 continue

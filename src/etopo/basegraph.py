@@ -46,7 +46,9 @@ class BaseGraph:
 
     placement maps every overlay node to a distinct lattice cell; contacts
     lists, per node, the (neighbor, link id) entangled contacts inherited
-    from the overlay. Treat instances as immutable after construction.
+    from the overlay, sorted by neighbor then link id (greedy routing's
+    tie-break relies on that order). Treat instances as immutable after
+    construction.
     """
 
     k: int

@@ -211,7 +211,14 @@ def _cmd_reduce_coloring(args) -> int:
 
 
 def _cmd_bench_routing(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--sizes must be comma-separated integers, got {args.sizes!r}"
+        ) from None
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     rows = bench_routing(sizes, args.trials, _effective_seed(args.seed))
     if args.format == "json":
         _dump([dataclasses.asdict(r) | {"normalized": r.normalized} for r in rows],

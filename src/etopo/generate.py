@@ -81,23 +81,28 @@ def generate_network(params: GeneratorParams, seed: int) -> OverlayNetwork:
     return make_network(nodes, links)
 
 
+def _distance_cum_weights(n: int) -> list[float]:
+    """Cumulative radial weights 1/d for d = 1 .. 2(n-1), as _sample_long_range
+    draws them; computed once per lattice."""
+    return list(itertools.accumulate(1.0 / d for d in range(1, 2 * (n - 1) + 1)))
+
+
 def _sample_long_range(
-    rng: random.Random, origin: tuple[int, int], n: int
+    rng: random.Random, origin: tuple[int, int], n: int, cum_weights: list[float]
 ) -> Optional[tuple[int, int]]:
     """Sample a cell at L1 distance d with probability proportional to d**-2.
 
     Radial form: mass of distance d is (d**-2 * count_at(d)), with
     count_at(d) about 4d on the open lattice, so d is drawn with weight
     1/d and a uniform cell at that distance is kept if it lies on the
-    lattice.
+    lattice. cum_weights is _distance_cum_weights(n).
     """
     x, y = origin
     max_d = 2 * (n - 1)
     if max_d < 2:
         return None
-    weights = [1.0 / d for d in range(1, max_d + 1)]
     for _ in range(64):
-        d = rng.choices(range(1, max_d + 1), weights=weights)[0]
+        d = rng.choices(range(1, max_d + 1), cum_weights=cum_weights)[0]
         dx = rng.randint(-d, d)
         dy_mag = d - abs(dx)
         dy = dy_mag if rng.random() < 0.5 else -dy_mag
@@ -138,9 +143,10 @@ def kleinberg_lattice(n: int, seed: int) -> tuple[OverlayNetwork, BaseGraph]:
                 add_link(node_at(x, y), node_at(x + 1, y))
             if y + 1 < n:
                 add_link(node_at(x, y), node_at(x, y + 1))
+    cum_weights = _distance_cum_weights(n)
     for x in range(n):
         for y in range(n):
-            cell = _sample_long_range(rng, (x, y), n)
+            cell = _sample_long_range(rng, (x, y), n, cum_weights)
             if cell is not None:
                 add_link(node_at(x, y), node_at(*cell))
 

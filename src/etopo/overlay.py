@@ -145,16 +145,6 @@ class OverlayNetwork:
         pair = (x, y) if x < y else (y, x)
         return self._by_pair.get(pair, ())
 
-    def neighbors(self, node: NodeId) -> tuple[tuple[NodeId, LinkId], ...]:
-        """(neighbor, link id) pairs for every link incident to node."""
-        out = []
-        for link in self.links:
-            if link.a == node:
-                out.append((link.b, link.id))
-            elif link.b == node:
-                out.append((link.a, link.id))
-        return tuple(sorted(out))
-
 
 def make_network(nodes: Iterable[NodeId], links: Iterable[EntangledLink]) -> OverlayNetwork:
     return OverlayNetwork(nodes=frozenset(nodes), links=tuple(links))

@@ -10,10 +10,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import sub
 from typing import Optional
 
 from .adaption import AdaptedLinkSet
-from .basegraph import BaseGraph, l1_distance
+from .basegraph import BaseGraph
+from .errors import NotFoundError
 from .overlay import LinkId, NodeId
 
 
@@ -53,66 +55,62 @@ class RoutingOutcome:
         return self.status is RouteStatus.FOUND
 
 
-def _adapted_neighbors(
-    graph: BaseGraph, adapted: AdaptedLinkSet, node: NodeId
-) -> list[tuple[NodeId, LinkId]]:
-    return [(nbr, lid) for nbr, lid in graph.contacts_of(node) if lid in adapted.links]
-
-
 def route(
     graph: BaseGraph,
     adapted: AdaptedLinkSet,
     source: NodeId,
     target: NodeId,
-    rng_seed: Optional[int] = None,
 ) -> RoutingOutcome:
     """Greedy L1 forwarding with backtracking over the adapted set.
 
     At each node the contact closest to the target is tried first (ties by
     lowest node id, then lowest link id); exhausted nodes are popped and
     never revisited, bounding the walk to one visit per node. The returned
-    path is the final stack, which is simple by construction. rng_seed is
-    accepted for interface stability; the forwarder itself is
-    deterministic.
+    path is the final stack, which is simple by construction. Raises
+    ValueError when adapted was built on another base-graph.
     """
-    del rng_seed
+    adjacency = adapted.adjacency_on(graph)
     target_coord = graph.coord(target)
     graph.coord(source)
     if source == target:
         return RoutingOutcome(RouteStatus.FOUND, Path((source,), ()), 0, 0)
 
+    place = graph.placement
     visited = {source}
     stack: list[NodeId] = [source]
     link_stack: list[LinkId] = []
     steps = 0
     while stack:
-        current = stack[-1]
-        candidates = [
-            (nbr, lid)
-            for nbr, lid in _adapted_neighbors(graph, adapted, current)
-            if nbr not in visited
-        ]
-        if candidates:
-            nbr, lid = min(
-                candidates,
-                key=lambda c: (l1_distance(graph.coord(c[0]), target_coord), c[0], c[1]),
-            )
-            visited.add(nbr)
-            stack.append(nbr)
-            link_stack.append(lid)
-            steps += 1
-            if nbr == target:
-                return RoutingOutcome(
-                    RouteStatus.FOUND,
-                    Path(tuple(stack), tuple(link_stack)),
-                    len(link_stack),
-                    steps,
-                )
-        else:
+        # Rows are sorted by (node, link), so keeping the first strictly
+        # closer contact breaks distance ties by lowest node, then link.
+        best_lid = None
+        for nbr, lid in adjacency.get(stack[-1], ()):
+            if nbr in visited:
+                continue
+            try:
+                dist = sum(map(abs, map(sub, place[nbr], target_coord)))
+            except KeyError:
+                raise NotFoundError(
+                    f"node {nbr} is not mapped in the base-graph"
+                ) from None
+            if best_lid is None or dist < best_dist:
+                best_dist, best_nbr, best_lid = dist, nbr, lid
+        steps += 1
+        if best_lid is None:
             stack.pop()
             if link_stack:
                 link_stack.pop()
-            steps += 1
+            continue
+        visited.add(best_nbr)
+        stack.append(best_nbr)
+        link_stack.append(best_lid)
+        if best_nbr == target:
+            return RoutingOutcome(
+                RouteStatus.FOUND,
+                Path(tuple(stack), tuple(link_stack)),
+                len(link_stack),
+                steps,
+            )
     return RoutingOutcome(RouteStatus.UNREACHABLE, None, 0, steps)
 
 
@@ -123,6 +121,7 @@ def shortest_path_oracle(
     target: NodeId,
 ) -> RoutingOutcome:
     """Exact minimum-edge-count path via breadth-first search over the adapted set."""
+    adjacency = adapted.adjacency_on(graph)
     graph.coord(source)
     graph.coord(target)
     if source == target:
@@ -132,7 +131,7 @@ def shortest_path_oracle(
     queue = deque([source])
     while queue:
         current = queue.popleft()
-        for nbr, lid in _adapted_neighbors(graph, adapted, current):
+        for nbr, lid in adjacency.get(current, ()):
             if nbr in seen:
                 continue
             seen.add(nbr)

@@ -275,10 +275,7 @@ def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
 
         outcomes: dict[int, RoutingOutcome] = {}
         for qid, demand in enumerate(scenario.demands):
-            outcomes[qid] = route(
-                graph, adapted, demand.source, demand.target,
-                rng_seed=derive_seed(scenario.seed, "route", trial, qid),
-            )
+            outcomes[qid] = route(graph, adapted, demand.source, demand.target)
         t2 = time.perf_counter()
 
         instance, back = build_trial_instance(

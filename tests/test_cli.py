@@ -197,3 +197,13 @@ class TestBenchRouting:
                      "--seed", "1", "--format", "json"]) == EXIT_OK
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["n"] == 4 and "normalized" in rows[0]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", "0"),
+        ("--trials", "-1"),
+        ("--sizes", "8,x"),
+    ])
+    def test_bad_flag_is_a_config_error(self, flag, value, capsys):
+        assert main(["bench-routing", "--sizes", "4", "--trials", "3",
+                     flag, value]) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etopo import (
+    AssignmentInstance,
     EntangledLink,
     NotFoundError,
     RouteStatus,
@@ -13,7 +15,13 @@ from etopo import (
     route,
     shortest_path_oracle,
 )
-from util import random_embedded
+from etopo.assignment import enumerate_simple_paths
+from util import (
+    random_embedded,
+    reference_oracle,
+    reference_route,
+    reference_simple_paths,
+)
 
 
 def line_setup(length=6):
@@ -102,3 +110,67 @@ class TestProperties:
                     assert lid in adapted.links
                     link = net.link_by_id(lid)
                     assert {link.a, link.b} == {u, v}
+
+
+def _path_instance(network, graph, adapted):
+    return AssignmentInstance(network=network, graph=graph, adapted=adapted,
+                              demands=(), resource_sets={})
+
+
+class TestAdaptedAdjacency:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3]),
+           threshold=st.sampled_from([0.0, 0.2, 0.4, 0.6]))
+    def test_walks_match_reference(self, seed, k, threshold):
+        rng = random.Random(seed)
+        side = {1: 40, 2: 8, 3: 4}[k]
+        net, graph, adapted = random_embedded(
+            rng, num_nodes=rng.randint(3, 20), num_links=rng.randint(2, 40),
+            k=k, n=side, threshold=threshold,
+        )
+        nodes = sorted(graph.placement)
+        for _ in range(5):
+            source, target = rng.choice(nodes), rng.choice(nodes)
+            assert route(graph, adapted, source, target) == reference_route(
+                graph, adapted, source, target)
+            assert shortest_path_oracle(graph, adapted, source, target) == (
+                reference_oracle(graph, adapted, source, target))
+        small, small_graph, small_adapted = random_embedded(
+            rng, num_nodes=rng.randint(3, 7), num_links=rng.randint(2, 12),
+            k=k, n=side, threshold=threshold,
+        )
+        source, target = rng.sample(sorted(small_graph.placement), 2)
+        instance = _path_instance(small, small_graph, small_adapted)
+        assert enumerate_simple_paths(instance, source, target) == (
+            reference_simple_paths(small_graph, small_adapted, source, target))
+
+    def test_foreign_graph_is_rejected(self):
+        net, graph, adapted = line_setup()
+        moved = map_overlay(net, k=1, n=6,
+                            placement={i: (5 - i,) for i in range(6)})
+        with pytest.raises(ValueError):
+            route(moved, adapted, 0, 5)
+        with pytest.raises(ValueError):
+            shortest_path_oracle(moved, adapted, 0, 5)
+        with pytest.raises(ValueError):
+            enumerate_simple_paths(_path_instance(net, moved, adapted), 0, 5)
+
+    @pytest.mark.parametrize("source, target", [(0, 99), (99, 0), (99, 99)])
+    def test_unmapped_endpoint(self, source, target):
+        _, graph, adapted = line_setup()
+        with pytest.raises(NotFoundError):
+            route(graph, adapted, source, target)
+        with pytest.raises(NotFoundError):
+            shortest_path_oracle(graph, adapted, source, target)
+
+    def test_unmapped_neighbor(self):
+        # make_network does not check endpoints, so a contact can name a
+        # node the placement never saw.
+        links = [EntangledLink(id=0, a=0, b=1), EntangledLink(id=1, a=0, b=5)]
+        net = make_network(range(2), links)
+        graph = map_overlay(net, k=1, n=2, placement={0: (0,), 1: (1,)})
+        adapted = adapt(graph, net, ThresholdPolicy(default=0.0))
+        with pytest.raises(NotFoundError):
+            reference_route(graph, adapted, 0, 1)
+        with pytest.raises(NotFoundError):
+            route(graph, adapted, 0, 1)

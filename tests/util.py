@@ -18,9 +18,13 @@ from etopo import (
     Demand,
     EntangledLink,
     InterferenceSet,
+    Path,
     ResourceSet,
+    RouteStatus,
+    RoutingOutcome,
     ThresholdPolicy,
     adapt,
+    l1_distance,
     make_network,
     map_overlay,
 )
@@ -69,6 +73,91 @@ def random_embedded(rng: random.Random, num_nodes=8, num_links=12, k=2, n=8,
     policy = ThresholdPolicy(default=threshold if threshold is not None else 0.0)
     adapted = adapt(graph, network, policy)
     return network, graph, adapted
+
+
+# -- reference graph walks ----------------------------------------------------
+#
+# Direct versions of the package's walks: every visit re-filters the
+# base-graph's contacts against the adapted link ids, and greedy forwarding
+# takes the minimum of (L1 distance, node, link) over the unvisited
+# candidates. The package's walks read the adjacency adapt builds and must
+# agree with these exactly.
+
+
+def _reference_neighbors(graph, adapted, node):
+    return [(nbr, lid) for nbr, lid in graph.contacts_of(node) if lid in adapted.links]
+
+
+def reference_route(graph, adapted, source, target) -> RoutingOutcome:
+    target_coord = graph.coord(target)
+    graph.coord(source)
+    if source == target:
+        return RoutingOutcome(RouteStatus.FOUND, Path((source,), ()), 0, 0)
+    visited = {source}
+    stack, link_stack, steps = [source], [], 0
+    while stack:
+        candidates = [
+            (nbr, lid) for nbr, lid in _reference_neighbors(graph, adapted, stack[-1])
+            if nbr not in visited
+        ]
+        steps += 1
+        if not candidates:
+            stack.pop()
+            if link_stack:
+                link_stack.pop()
+            continue
+        nbr, lid = min(
+            candidates,
+            key=lambda c: (l1_distance(graph.coord(c[0]), target_coord), c[0], c[1]),
+        )
+        visited.add(nbr)
+        stack.append(nbr)
+        link_stack.append(lid)
+        if nbr == target:
+            return RoutingOutcome(RouteStatus.FOUND, Path(tuple(stack), tuple(link_stack)),
+                                  len(link_stack), steps)
+    return RoutingOutcome(RouteStatus.UNREACHABLE, None, 0, steps)
+
+
+def reference_oracle(graph, adapted, source, target) -> RoutingOutcome:
+    graph.coord(source)
+    graph.coord(target)
+    parent = {source: None}
+    frontier = [source]
+    while frontier and target not in parent:
+        next_frontier = []
+        for current in frontier:
+            for nbr, lid in _reference_neighbors(graph, adapted, current):
+                if nbr not in parent:
+                    parent[nbr] = (current, lid)
+                    next_frontier.append(nbr)
+        frontier = next_frontier
+    if target not in parent:
+        return RoutingOutcome(RouteStatus.UNREACHABLE, None, 0, 0)
+    nodes, links = [target], []
+    while parent[nodes[-1]] is not None:
+        prev, lid = parent[nodes[-1]]
+        nodes.append(prev)
+        links.append(lid)
+    nodes.reverse()
+    links.reverse()
+    return RoutingOutcome(RouteStatus.FOUND, Path(tuple(nodes), tuple(links)),
+                          len(links), len(links))
+
+
+def reference_simple_paths(graph, adapted, source, target):
+    results = []
+
+    def extend(nodes, links):
+        if nodes[-1] == target:
+            results.append((tuple(nodes), tuple(links)))
+            return
+        for nbr, lid in _reference_neighbors(graph, adapted, nodes[-1]):
+            if nbr not in nodes:
+                extend(nodes + [nbr], links + [lid])
+
+    extend([source], [])
+    return sorted(results)
 
 
 # -- assignment instance sampling ---------------------------------------------
