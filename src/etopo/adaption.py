@@ -2,7 +2,7 @@
 
 Every link is tested against the probability threshold of its level; the
 survivors form the adapted link set S-star together with the updated
-per-pair probability field p-star (zero on excluded pairs).
+per-link probability p-star (zero on excluded links).
 """
 
 from __future__ import annotations
@@ -52,10 +52,9 @@ class ThresholdPolicy:
 class AdaptedLinkSet:
     """The filtered link set S-star and the updated probability field.
 
-    p_star is keyed by canonical (low, high) node pairs and is zero for
-    connected pairs whose every link fell below threshold. p_star_by_link
-    carries the same field per link id for consumers that need per-link
-    values (the assignment objective).
+    p_star_by_link holds each link's updated probability, zero for links
+    below threshold; link_p_star reads it. updated_probability gives the
+    per-pair value, the best over a pair's parallel links.
 
     The set belongs to the base-graph it was adapted on: adjacency holds,
     per node of that graph, its (neighbor, link id) contacts over retained
@@ -64,7 +63,6 @@ class AdaptedLinkSet:
     """
 
     links: frozenset[LinkId]
-    p_star: Mapping[tuple[NodeId, NodeId], float]
     p_star_by_link: Mapping[LinkId, float]
     graph: BaseGraph = field(compare=False, repr=False)
     adjacency: Mapping[NodeId, tuple[tuple[NodeId, LinkId], ...]] = field(
@@ -87,14 +85,15 @@ class AdaptedLinkSet:
         return self.adjacency
 
 
-def _updated_link_probability(
+def _link_update(
     link, policy: ThresholdPolicy, mode: PStarMode
-) -> float:
+) -> tuple[bool, float]:
+    """Whether link meets its level threshold, and its updated probability."""
     pr = link_existence_probability(link)
     threshold = policy.threshold_for(link.level)
     if pr < threshold:
-        return 0.0
-    return pr if mode is PStarMode.MEASURED else threshold
+        return False, 0.0
+    return True, pr if mode is PStarMode.MEASURED else threshold
 
 
 def updated_probability(
@@ -116,7 +115,7 @@ def updated_probability(
     if not links:
         raise NotConnectedError(f"no entangled link between nodes {x} and {y}")
     best_link(network, x, y)  # raises consistently when the pair is unmapped
-    return max(_updated_link_probability(l, policy, mode) for l in links)
+    return max(_link_update(l, policy, mode)[1] for l in links)
 
 
 def _retained_adjacency(
@@ -144,18 +143,14 @@ def adapt(
     """Filter every link against its level threshold, for all contacts of all
     nodes, and index the survivors by node of graph for routing."""
     kept: set[LinkId] = set()
-    p_star: dict[tuple[NodeId, NodeId], float] = {}
     by_link: dict[LinkId, float] = {}
     for link in network.links:
-        updated = _updated_link_probability(link, policy, mode)
-        if link_existence_probability(link) >= policy.threshold_for(link.level):
+        retained, by_link[link.id] = _link_update(link, policy, mode)
+        if retained:
             kept.add(link.id)
-        by_link[link.id] = updated
-        pair = link.pair
-        p_star[pair] = max(p_star.get(pair, 0.0), updated)
     links = frozenset(kept)
     return AdaptedLinkSet(
-        links=links, p_star=p_star, p_star_by_link=by_link,
+        links=links, p_star_by_link=by_link,
         graph=graph, adjacency=_retained_adjacency(graph, links),
     )
 

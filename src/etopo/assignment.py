@@ -7,18 +7,19 @@ state, so reliable links are preferred. Interference sets encode
 contention between demands for the same resource state at intermediate
 nodes; capacity bounds the aggregate rate per link.
 
-Two solvers are provided: an exact one (exhaustive for tiny instances,
-branch-and-bound over per-demand path options otherwise) and a greedy
-one that routes each demand and spills onto alternate links of an
+Two solvers are provided: an exact one (branch-and-bound over per-demand
+path options, up to BNB_VARIABLE_CAP binary variables) and a greedy one
+that routes each demand and spills onto alternate links of an
 intermediate node when a link's states are exhausted.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .adaption import AdaptedLinkSet
 from .basegraph import BaseGraph
@@ -33,6 +34,9 @@ UserId = int
 ResourceRef = tuple[LinkId, StateId]
 CTriple = tuple[UserId, LinkId, StateId]
 KTriple = tuple[UserId, DemandId, ResourceRef]
+
+# Largest instance, in binary variables, that solve_exact accepts.
+BNB_VARIABLE_CAP = 40
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,29 +318,6 @@ def flow_imbalance(
     return balance
 
 
-def _served_as_path(
-    instance: AssignmentInstance, solution: AssignmentSolution, qid: DemandId
-) -> bool:
-    demand = instance.demand(qid)
-    entries = _user_entries(solution, demand.user)
-    hops = _path_orientation(instance, demand, entries)
-    return hops is not None and hops[-1][2] == demand.target
-
-
-def solution_feasible(instance: AssignmentInstance, C: frozenset[CTriple]) -> bool:
-    """Full feasibility: every demand served along a simple path, capacity
-    and interference respected."""
-    solution = AssignmentSolution.from_C(instance, C)
-    for qid in range(len(instance.demands)):
-        if not _served_as_path(instance, solution, qid):
-            return False
-    if check_capacity(instance, solution):
-        return False
-    if check_interference(instance, solution):
-        return False
-    return True
-
-
 class SolveStatus(str, Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
@@ -357,13 +338,11 @@ class SolveResult:
         return self.status is SolveStatus.FEASIBLE
 
 
-@dataclass(frozen=True)
-class _Option:
+class _Option(NamedTuple):
     """One way to serve a demand: a path with one chosen state per link."""
 
     cost: float
     entries: tuple[tuple[LinkId, StateId], ...]
-    nodes: tuple[NodeId, ...]
 
 
 def enumerate_simple_paths(
@@ -392,64 +371,43 @@ def enumerate_simple_paths(
 
 
 def _demand_options(
-    instance: AssignmentInstance, qid: DemandId, option_cap: int = 200_000
+    instance: AssignmentInstance,
+    qid: DemandId,
+    usable: Mapping[LinkId, list[ResourceRef]],
+    option_cap: int = 200_000,
 ) -> list[_Option]:
+    """The demand's options in (cost, entries) order, each link of a path
+    taking one of its usable (link, state) entries. TooLargeError when
+    all states of the links would give more than option_cap options."""
     demand = instance.demand(qid)
     options: list[_Option] = []
-    for nodes, links in enumerate_simple_paths(instance, demand.source, demand.target):
-        state_choices = [
-            [(lid, s) for s in sorted(instance.states_of(lid))] for lid in links
-        ]
-        if any(not choices for choices in state_choices):
-            continue
+    total = 0
+    for _, links in enumerate_simple_paths(instance, demand.source, demand.target):
+        total += math.prod(len(instance.states_of(lid)) for lid in links)
+        if total > option_cap:
+            raise TooLargeError(f"demand {qid} has more than {option_cap} serving options")
         cost = sum(1.0 - instance.adapted.link_p_star(lid) for lid in links)
-        for combo in itertools.product(*state_choices):
-            options.append(_Option(cost=cost, entries=tuple(combo), nodes=nodes))
-            if len(options) > option_cap:
-                raise TooLargeError(
-                    f"demand {qid} has more than {option_cap} serving options"
-                )
-    options.sort(key=lambda o: (o.cost, o.entries))
+        combos = itertools.product(*(usable.get(lid, ()) for lid in links))
+        options.extend(_Option(cost, combo) for combo in combos)
+    options.sort()
     return options
 
 
-def _interference_index(
-    instance: AssignmentInstance,
-) -> dict[ResourceRef, list[InterferenceSet]]:
-    index: dict[ResourceRef, list[InterferenceSet]] = {}
-    for iset in instance.interference:
-        index.setdefault(iset.resource, []).append(iset)
-    return index
-
-
-def _grant_conflict(
-    index: dict[ResourceRef, list[InterferenceSet]],
-    granted: dict[ResourceRef, set[DemandId]],
-    qid: DemandId,
-    ref: ResourceRef,
-) -> bool:
-    for iset in index.get(ref, ()):  # only contested states can conflict
-        competitors = iset.competing_demands
-        if qid in competitors and (granted.get(ref, set()) & competitors) - {qid}:
-            return True
-    return False
-
-
 def solve_exact(
-    instance: AssignmentInstance,
-    exhaustive_cap: int = 12,
-    bnb_cap: int = 40,
+    instance: AssignmentInstance, bnb_cap: int = BNB_VARIABLE_CAP
 ) -> SolveResult:
     """Minimum-cost assignment serving every demand, or infeasible.
 
-    Instances with at most exhaustive_cap binary variables are solved by
-    full enumeration of the variable space; up to bnb_cap by
-    branch-and-bound over per-demand path options. Larger instances raise
-    TooLargeError; use solve_greedy there.
+    Branch-and-bound over per-demand path options solves instances of at
+    most bnb_cap binary variables. Larger instances raise TooLargeError;
+    use solve_greedy there.
+
+    Equal-cost optima are broken by a fixed rule, not by search order: of
+    the assignments with the minimum total cost, the result is the one
+    whose sequence of per-demand (path cost, (link, state) entries in path
+    order), taken in demand-id order, is lexicographically smallest.
     """
     n_vars = instance.n_variables()
-    if n_vars <= exhaustive_cap:
-        return _solve_exhaustive(instance)
     if n_vars > bnb_cap:
         raise TooLargeError(
             f"instance has {n_vars} binary variables, above the cap of {bnb_cap}"
@@ -477,39 +435,48 @@ def _result(instance: AssignmentInstance, C: Optional[frozenset[CTriple]]) -> So
     )
 
 
-def _solve_exhaustive(instance: AssignmentInstance) -> SolveResult:
-    variables: list[CTriple] = [
-        (d.user, link_id, state)
-        for d in instance.demands
-        for link_id in sorted(instance.resource_sets)
-        for state in sorted(instance.states_of(link_id))
-    ]
-    best: Optional[frozenset[CTriple]] = None
-    best_cost = float("inf")
-    for mask in range(1 << len(variables)):
-        C = frozenset(v for i, v in enumerate(variables) if mask >> i & 1)
-        if not solution_feasible(instance, C):
-            continue
-        cost = sum(1.0 - instance.adapted.link_p_star(link) for _, link, _ in C)
-        if cost < best_cost:
-            best, best_cost = C, cost
-    return _result(instance, best)
+def _rivals(
+    instance: AssignmentInstance,
+) -> dict[tuple[DemandId, ResourceRef], frozenset[DemandId]]:
+    """For each demand and resource state it competes for, the other
+    demands that may not be granted that state alongside it."""
+    rivals: dict[tuple[DemandId, ResourceRef], set[DemandId]] = {}
+    for iset in instance.interference:
+        competitors = iset.competing_demands
+        for qid in competitors:
+            rivals.setdefault((qid, iset.resource), set()).update(competitors - {qid})
+    return {key: frozenset(qids) for key, qids in rivals.items() if qids}
 
 
 def _solve_branch_and_bound(instance: AssignmentInstance) -> SolveResult:
-    try:
-        options = {
-            qid: _demand_options(instance, qid) for qid in range(len(instance.demands))
-        }
-    except TooLargeError:
-        raise
+    # Demands in id order, options in (cost, entries) order and >= pruning
+    # keep the first optimum found: the tie-break solve_exact documents.
+    order = list(range(len(instance.demands)))
+    rate = {qid: instance.demand(qid).rate for qid in order}
+    capacity = {link.id: link.throughput for link in instance.network.links}
+    rivals = _rivals(instance)
+    # States of a link with the same rivals for every demand can be swapped
+    # in any assignment at no change in cost or feasibility, and putting the
+    # smaller state first gives smaller entries: the rule's optimum opens
+    # such twins in increasing order, so no other order is searched.
+    earlier: dict[ResourceRef, tuple[StateId, ...]] = {}
+    for link in instance.resource_sets:
+        twins: dict[tuple, list[StateId]] = {}
+        for state in sorted(instance.states_of(link)):
+            key = tuple(rivals.get((qid, (link, state))) for qid in order)
+            earlier[(link, state)] = tuple(twins.setdefault(key, []))
+            twins[key].append(state)
+    # Demand qid follows qid others, which hold at most qid states of a
+    # link: a state with more smaller twins than that never opens in order.
+    options: dict[DemandId, list[_Option]] = {}
+    for qid in order:
+        usable: dict[LinkId, list[ResourceRef]] = {}
+        for ref in sorted(earlier):
+            if len(earlier[ref]) <= qid:
+                usable.setdefault(ref[0], []).append(ref)
+        options[qid] = _demand_options(instance, qid, usable)
     if any(not opts for opts in options.values()):
         return _result(instance, None)
-    order = sorted(options, key=lambda q: (len(options[q]), q))
-    index = _interference_index(instance)
-    min_cost_tail = [0.0] * (len(order) + 1)
-    for pos in range(len(order) - 1, -1, -1):
-        min_cost_tail[pos] = min_cost_tail[pos + 1] + options[order[pos]][0].cost
 
     best: Optional[frozenset[CTriple]] = None
     best_cost = float("inf")
@@ -517,10 +484,38 @@ def _solve_branch_and_bound(instance: AssignmentInstance) -> SolveResult:
     load: dict[LinkId, float] = {}
     granted: dict[ResourceRef, set[DemandId]] = {}
 
+    def fits(qid: DemandId, opt: _Option) -> bool:
+        for ref in opt.entries:
+            link = ref[0]
+            if load.get(link, 0.0) + rate[qid] > capacity[link]:
+                return False
+            held = granted.get(ref)
+            if held and not held.isdisjoint(rivals.get((qid, ref), ())):
+                return False
+        return True
+
+    def opens_in_order(opt: _Option) -> bool:
+        for link, state in opt.entries:
+            if not granted.get((link, state)) and any(
+                not granted.get((link, s)) for s in earlier[(link, state)]
+            ):
+                return False
+        return True
+
+    def open_tail(pos: int) -> Optional[float]:
+        # The cheapest option that still fits, summed over the demands from
+        # pos on; None when one has none left. Load and grants only grow
+        # deeper in the search, so this bounds every completion from below.
+        tail = 0.0
+        for qid in reversed(order[pos:]):
+            cheapest = next((opt.cost for opt in options[qid] if fits(qid, opt)), None)
+            if cheapest is None:
+                return None
+            tail += cheapest
+        return tail
+
     def descend(pos: int, cost: float) -> None:
         nonlocal best, best_cost
-        if cost + min_cost_tail[pos] >= best_cost:
-            return
         if pos == len(order):
             C = frozenset(
                 (instance.demand(q).user, link, state)
@@ -529,31 +524,22 @@ def _solve_branch_and_bound(instance: AssignmentInstance) -> SolveResult:
             )
             best, best_cost = C, cost
             return
+        rest = open_tail(pos + 1)
+        if rest is None:
+            return
         qid = order[pos]
-        demand = instance.demand(qid)
         for opt in options[qid]:
-            if cost + opt.cost + min_cost_tail[pos + 1] >= best_cost:
+            if cost + opt.cost + rest >= best_cost:
                 break  # options are cost-sorted
-            ok = True
-            for link, _ in opt.entries:
-                capacity = instance.network.link_by_id(link).throughput
-                if load.get(link, 0.0) + demand.rate > capacity:
-                    ok = False
-                    break
-            if ok:
-                for ref in opt.entries:
-                    if _grant_conflict(index, granted, qid, ref):
-                        ok = False
-                        break
-            if not ok:
+            if not opens_in_order(opt) or not fits(qid, opt):
                 continue
             chosen[qid] = opt
             for link, state in opt.entries:
-                load[link] = load.get(link, 0.0) + demand.rate
+                load[link] = load.get(link, 0.0) + rate[qid]
                 granted.setdefault((link, state), set()).add(qid)
             descend(pos + 1, cost + opt.cost)
             for link, state in opt.entries:
-                load[link] -= demand.rate
+                load[link] -= rate[qid]
                 granted[(link, state)].discard(qid)
             del chosen[qid]
 
@@ -571,14 +557,12 @@ def solve_greedy(instance: AssignmentInstance) -> SolveResult:
     States are consumed exclusively here, which is stricter than the exact
     solver's constraint set but never violates it.
     """
-    index = _interference_index(instance)
     order = sorted(
         range(len(instance.demands)),
         key=lambda q: (-instance.demand(q).rate, instance.demand(q).user),
     )
     taken: set[ResourceRef] = set()
     load: dict[LinkId, float] = {}
-    granted: dict[ResourceRef, set[DemandId]] = {}
     C: set[CTriple] = set()
     served: list[DemandId] = []
     rejected: list[DemandId] = []
@@ -590,9 +574,8 @@ def solve_greedy(instance: AssignmentInstance) -> SolveResult:
             return None
         for state in sorted(instance.states_of(link)):
             ref = (link, state)
+            # A state held by no other demand cannot interfere.
             if ref in taken or ref in pending:
-                continue
-            if _grant_conflict(index, granted, qid, ref):
                 continue
             return state
         return None
@@ -608,7 +591,6 @@ def solve_greedy(instance: AssignmentInstance) -> SolveResult:
             C.add((demand.user, link, state))
             taken.add((link, state))
             load[link] = load.get(link, 0.0) + demand.rate
-            granted.setdefault((link, state), set()).add(qid)
 
     solution = AssignmentSolution.from_C(instance, frozenset(C))
     status = SolveStatus.FEASIBLE if not rejected else SolveStatus.INFEASIBLE

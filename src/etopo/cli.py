@@ -39,7 +39,6 @@ from .io import (
 from .overlay import link_existence_probability
 from .routing import route
 from .scenario import (
-    BNB_VARIABLE_CAP,
     bench_routing,
     records_to_csv,
     records_to_solutions,
@@ -167,10 +166,10 @@ def _cmd_assign(args) -> int:
     if args.solver == "greedy":
         result = solve_greedy(instance)
     elif args.solver == "exact":
-        result = solve_exact(instance, bnb_cap=BNB_VARIABLE_CAP)
+        result = solve_exact(instance)
     else:
         try:
-            result = solve_exact(instance, bnb_cap=BNB_VARIABLE_CAP)
+            result = solve_exact(instance)
         except TooLargeError:
             result = solve_greedy(instance)
     if args.out is not None:

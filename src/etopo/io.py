@@ -7,6 +7,7 @@ offending field path so configuration mistakes surface immediately.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
@@ -51,16 +52,25 @@ def _require(record: Mapping[str, Any], fields: tuple[str, ...], context: str,
 
 def _load_json(path: PathLike) -> Any:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(Path(path).read_bytes())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _dump_json(payload: Any, path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # No O_TRUNC: on ext4 a truncate at open is a journalled inode update
+    # even for an empty file, slower and far less steady than the write.
+    # The file is cut to length only when it held more than the payload.
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 # -- network -----------------------------------------------------------------
@@ -77,14 +87,21 @@ def network_to_dict(network: OverlayNetwork) -> dict:
 
 def network_from_dict(data: Mapping[str, Any]) -> OverlayNetwork:
     _require(data, ("nodes", "links"), "network")
+    nodes = frozenset(data["nodes"])
     links = []
     for i, record in enumerate(data["links"]):
         _require(record, _LINK_FIELDS, f"network.links[{i}]")
         try:
-            links.append(EntangledLink(**record))
+            link = EntangledLink(**record)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"network.links[{i}]: {exc}") from exc
-    return make_network(data["nodes"], links)
+        for endpoint in link.endpoints:
+            if endpoint not in nodes:
+                raise ConfigError(
+                    f"network.links[{i}]: endpoint {endpoint} is not in network.nodes"
+                )
+        links.append(link)
+    return make_network(nodes, links)
 
 
 def load_network(path: PathLike) -> OverlayNetwork:

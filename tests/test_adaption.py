@@ -81,14 +81,14 @@ class TestAdapt:
         net, graph = three_link_setup()
         adapted = adapt(graph, net, ThresholdPolicy(default=1.0))
         assert adapted.links == frozenset()
-        assert all(p == 0.0 for p in adapted.p_star.values())
+        assert all(adapted.link_p_star(l.id) == 0.0 for l in net.links)
 
     def test_hand_enumerated_filter(self):
         net, graph = three_link_setup()
         adapted = adapt(graph, net, ThresholdPolicy(default=0.9))
         assert adapted.links == {0, 2}
-        assert adapted.p_star[(1, 2)] == 0.0
-        assert adapted.p_star[(0, 1)] == pytest.approx(0.95)
+        assert adapted.link_p_star(1) == 0.0
+        assert adapted.link_p_star(0) == pytest.approx(0.95)
 
     def test_per_level_thresholds(self):
         links = [

@@ -89,6 +89,16 @@ class TestRoute:
         assert main(["route", str(line_file), "--k", "1", "--n", "4",
                      "--seed", "0", "--source", "0", "--target", "99"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("source,target", [(1, 0), (0, 1)])
+    def test_link_endpoint_outside_node_set(self, tmp_path, capsys, source, target):
+        links = [EntangledLink(id=0, a=0, b=1), EntangledLink(id=1, a=0, b=5)]
+        path = tmp_path / "net.json"
+        save_network(make_network([0, 1], links), path)
+        code = main(["route", str(path), "--k", "1", "--n", "2",
+                     "--source", str(source), "--target", str(target)])
+        assert code == EXIT_CONFIG
+        assert "network.links[1]" in capsys.readouterr().err
+
 
 @pytest.fixture
 def instance_file(tmp_path, line_file):

@@ -22,7 +22,7 @@ from etopo import (
     solve_exact,
 )
 from etopo.assignment import AssignmentInstance
-from util import brute_force_colorable
+from util import brute_force_colorable, oracle_solve
 
 
 def interference_instance(isets):
@@ -181,4 +181,10 @@ class TestReduction:
             for colors in range(1, 4):
                 expected = brute_force_colorable(range(n), edges, colors)
                 inst = reduction_from_coloring(graph, colors)
-                assert solve_exact(inst).feasible == expected
+                result = solve_exact(inst)
+                assert result.feasible == expected
+                feasible, cost, best_C = oracle_solve(inst)
+                assert feasible == expected
+                if feasible:
+                    assert result.objective == cost
+                    assert result.solution.C == best_C

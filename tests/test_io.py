@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -37,6 +38,15 @@ class TestNetworkRoundTrip:
         path = tmp_path / "net.json"
         save_network(net, path)
         assert load_network(path) == net
+
+    def test_save_over_longer_file(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_network(random_overlay(random.Random(3), 6, 9), path)
+        net = make_network([0, 1], [EntangledLink(id=0, a=0, b=1)])
+        save_network(net, path)
+        assert load_network(path) == net
+        expected = json.dumps(network_to_dict(net), indent=2, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
 
     def test_unknown_field_rejected(self):
         data = network_to_dict(make_network([0], []))

@@ -266,6 +266,10 @@ def oracle_solve(instance: AssignmentInstance):
 
     Returns (feasible, min_cost, best_C). Feasibility requires every demand
     served; capacity and interference are checked by direct summation.
+    Among minimum-cost selections best_C is the one whose sequence of
+    per-demand (path cost, (link, state) entries in path order), in demand
+    order, is lexicographically smallest: the tie-break solve_exact
+    documents.
     """
     per_demand = []
     for demand in instance.demands:
@@ -284,6 +288,7 @@ def oracle_solve(instance: AssignmentInstance):
 
     best_cost = None
     best_C = None
+    best_key = None
     for selection in itertools.product(*per_demand):
         load: dict[int, float] = {}
         ok = True
@@ -310,8 +315,13 @@ def oracle_solve(instance: AssignmentInstance):
             for combo in selection
             for lid, _ in combo
         )
-        if best_cost is None or cost < best_cost:
+        key = tuple(
+            (sum(1.0 - instance.adapted.link_p_star(lid) for lid, _ in combo), combo)
+            for combo in selection
+        )
+        if best_cost is None or cost < best_cost or (cost == best_cost and key < best_key):
             best_cost = cost
+            best_key = key
             best_C = frozenset(
                 (demand.user, lid, s)
                 for demand, combo in zip(instance.demands, selection)
