@@ -26,6 +26,7 @@ from .coloring import reduction_from_coloring
 from .errors import ConfigError, EtopoError, TooLargeError
 from .generate import GeneratorParams, generate_network
 from .io import (
+    _load_json,
     load_conflict_graph,
     load_instance,
     load_network,
@@ -81,8 +82,7 @@ def _dump(payload, out: Optional[str]) -> None:
 
 def _load_thresholds(args) -> "ThresholdPolicy":
     if args.thresholds is not None:
-        with open(args.thresholds, "r", encoding="utf-8") as fh:
-            return thresholds_from_dict(json.load(fh))
+        return thresholds_from_dict(_load_json(args.thresholds))
     return thresholds_from_dict({"default": args.threshold})
 
 
@@ -180,9 +180,9 @@ def _cmd_assign(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if os.environ.get("ETOPO_SEED") is not None or args.seed is not None:
+    data = _load_json(args.scenario)
+    seeded = os.environ.get("ETOPO_SEED") is not None or args.seed is not None
+    if seeded and isinstance(data, dict):
         data = dict(data)
         data["seed"] = _effective_seed(args.seed, data.get("seed"))
     scenario = scenario_from_dict(data, base_dir=Path(args.scenario).parent)

@@ -3,11 +3,13 @@
 Covers two shapes: fully random overlays (nodes, link count, level and
 attribute distributions) and the lattice regime used for routing scaling
 studies, where every cell holds a node with nearest-neighbor links plus
-one long-range link sampled with probability proportional to d**(-k).
+at most one long-range link drawn by an approximation of the d**(-2) law
+(see _sample_long_range for how it departs from that law).
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import random
@@ -90,67 +92,83 @@ def _distance_cum_weights(n: int) -> list[float]:
 def _sample_long_range(
     rng: random.Random, origin: tuple[int, int], n: int, cum_weights: list[float]
 ) -> Optional[tuple[int, int]]:
-    """Sample a cell at L1 distance d with probability proportional to d**-2.
+    """Draw a long-range contact cell for origin, or None.
 
-    Radial form: mass of distance d is (d**-2 * count_at(d)), with
-    count_at(d) about 4d on the open lattice, so d is drawn with weight
-    1/d and a uniform cell at that distance is kept if it lies on the
-    lattice. cum_weights is _distance_cum_weights(n).
+    Each try draws a distance d with weight 1/d, then dx uniformly from
+    [-d, d] and the sign of dy = +-(d - |dx|) by a coin, and tries again
+    while the cell is off the lattice. A cell at distance d thus gets mass
+    proportional to 1 / (2d (2d + 1)): close to the d**-2 law the lattice
+    model calls for, but not exactly it. dx = -d and dx = d give dy = 0
+    under either coin, so at every distance the two x-axis cells get twice
+    the mass of the other cells on the ring. After 64 off-lattice tries
+    the node gets no long-range contact at all. ROADMAP item 1 tracks the
+    exact sampler, which changes every lattice.
+
+    cum_weights is _distance_cum_weights(n). The distance draw is the one
+    `rng.choices(range(1, len(cum_weights) + 1), cum_weights=cum_weights)`
+    makes, so the random stream is consumed exactly as that call does.
     """
     x, y = origin
-    max_d = 2 * (n - 1)
-    if max_d < 2:
-        return None
+    hi = len(cum_weights) - 1
+    total = cum_weights[-1]
+    random_ = rng.random
+    randint = rng.randint
     for _ in range(64):
-        d = rng.choices(range(1, max_d + 1), cum_weights=cum_weights)[0]
-        dx = rng.randint(-d, d)
+        d = bisect.bisect(cum_weights, random_() * total, 0, hi) + 1
+        dx = randint(-d, d)
         dy_mag = d - abs(dx)
-        dy = dy_mag if rng.random() < 0.5 else -dy_mag
-        cell = (x + dx, y + dy)
-        if cell == origin:
-            continue
-        if 0 <= cell[0] < n and 0 <= cell[1] < n:
-            return cell
+        cx = x + dx
+        cy = y + dy_mag if random_() < 0.5 else y - dy_mag
+        if 0 <= cx < n and 0 <= cy < n:
+            return cx, cy
     return None
 
 
 def kleinberg_lattice(n: int, seed: int) -> tuple[OverlayNetwork, BaseGraph]:
-    """n-by-n lattice overlay: nearest-neighbor links plus one long-range
-    link per node, identity placement, all link probabilities 1."""
+    """n-by-n lattice overlay with identity placement, all link probabilities 1.
+
+    Node x * n + y sits at cell (x, y). Links are numbered in this order:
+    the nearest-neighbour grid links, by node then (x + 1, y) before
+    (x, y + 1); then at most one long-range link per node, by node, drawn
+    by _sample_long_range (see there for how its law departs from d**-2).
+    A long-range draw that repeats a grid link or an earlier long-range
+    pair is skipped, and a node whose 64 tries all fall off the lattice
+    has none, so a lattice holds at most n * n long-range links.
+    """
     if n < 2:
         raise ConfigError("lattice side must be >= 2")
     rng = random.Random(seed)
-
-    def node_at(x: int, y: int) -> int:
-        return x * n + y
-
+    size = n * n
+    # One int object per node id, shared by the node set, the placement and
+    # every link endpoint: on 256 x 256 that is 65k ids instead of about 365k.
+    ids = list(range(size))
     links: list[EntangledLink] = []
-    link_id = 0
-    pairs: set[tuple[int, int]] = set()
+    append = links.append
+    for u in ids:
+        if u + n < size:
+            append(EntangledLink(len(links), u, ids[u + n]))
+        if (u + 1) % n:
+            append(EntangledLink(len(links), u, ids[u + 1]))
 
-    def add_link(u: int, v: int) -> None:
-        nonlocal link_id
-        key = (u, v) if u < v else (v, u)
-        if key in pairs:
-            return
-        pairs.add(key)
-        links.append(EntangledLink(id=link_id, a=key[0], b=key[1], level=1))
-        link_id += 1
-
-    for x in range(n):
-        for y in range(n):
-            if x + 1 < n:
-                add_link(node_at(x, y), node_at(x + 1, y))
-            if y + 1 < n:
-                add_link(node_at(x, y), node_at(x, y + 1))
+    # Grid pairs are distinct by construction. A long-range pair (a, b),
+    # a < b, repeats one exactly when b - a == n, or b - a == 1 within a
+    # row, so only long-range pairs enter the dedupe set, keyed a*size + b.
+    long_pairs: set[int] = set()
     cum_weights = _distance_cum_weights(n)
-    for x in range(n):
-        for y in range(n):
-            cell = _sample_long_range(rng, (x, y), n, cum_weights)
-            if cell is not None:
-                add_link(node_at(x, y), node_at(*cell))
+    for u in ids:
+        cell = _sample_long_range(rng, divmod(u, n), n, cum_weights)
+        if cell is None:
+            continue
+        v = ids[cell[0] * n + cell[1]]
+        a, b = (u, v) if u < v else (v, u)
+        gap = b - a
+        key = a * size + b
+        if gap == n or (gap == 1 and b % n) or key in long_pairs:
+            continue
+        long_pairs.add(key)
+        append(EntangledLink(len(links), a, b))
 
-    network = make_network(range(n * n), links)
-    placement = {node_at(x, y): (x, y) for x in range(n) for y in range(n)}
+    network = make_network(ids, links)
+    placement = {u: divmod(u, n) for u in ids}
     graph = map_overlay(network, k=2, n=n, placement=placement)
     return network, graph

@@ -87,6 +87,11 @@ def network_to_dict(network: OverlayNetwork) -> dict:
 
 def network_from_dict(data: Mapping[str, Any]) -> OverlayNetwork:
     _require(data, ("nodes", "links"), "network")
+    if not isinstance(data["nodes"], list):
+        raise ConfigError("network.nodes: expected a list")
+    for i, node in enumerate(data["nodes"]):
+        if type(node) is not int:  # bool is an int subclass, and no node id
+            raise ConfigError(f"network.nodes[{i}]: expected an integer, got {node!r}")
     nodes = frozenset(data["nodes"])
     links = []
     for i, record in enumerate(data["links"]):
@@ -130,12 +135,14 @@ def load_placement(path: PathLike) -> dict[int, tuple[int, ...]]:
 
 def thresholds_from_dict(data: Mapping[str, Any]) -> ThresholdPolicy:
     _require(data, (), "thresholds", optional=("default", "levels"))
+    if not isinstance(data.get("levels", {}), dict):
+        raise ConfigError("thresholds.levels: expected an object")
     try:
         levels = {int(l): float(t) for l, t in data.get("levels", {}).items()}
         return ThresholdPolicy(
             default=float(data.get("default", 0.0)), per_level=levels
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"thresholds: {exc}") from exc
 
 
@@ -206,7 +213,10 @@ def instance_from_dict(
     graph = map_overlay(network, bg["k"], bg["n"], placement=placement, seed=bg.get("seed"))
 
     policy = thresholds_from_dict(data.get("thresholds", {}))
-    mode = PStarMode(data.get("pstar_mode", "measured"))
+    try:
+        mode = PStarMode(data.get("pstar_mode", "measured"))
+    except ValueError as exc:
+        raise ConfigError(f"instance.pstar_mode: {exc}") from exc
     adapted = adapt(graph, network, policy, mode)
 
     demands = tuple(

@@ -394,11 +394,18 @@ class BenchRow:
 
 
 def bench_routing(sizes: list[int], trials: int, seed: int) -> list[BenchRow]:
-    """Mean greedy step counts on lattices with long-range links, per size."""
+    """Mean greedy step counts on lattices with long-range links, per size.
+
+    Per size, the log line gives mean_steps and the seconds spent building
+    the lattice, adapting it and routing the trials; the rows do not.
+    """
     rows = []
     for n in sizes:
+        t0 = time.perf_counter()
         network, graph = kleinberg_lattice(n, derive_seed(seed, "lattice", n))
+        t1 = time.perf_counter()
         adapted = adapt(graph, network, ThresholdPolicy(default=0.0))
+        t2 = time.perf_counter()
         rng = random.Random(derive_seed(seed, "pairs", n))
         total_steps = 0
         node_count = n * n
@@ -408,6 +415,7 @@ def bench_routing(sizes: list[int], trials: int, seed: int) -> list[BenchRow]:
             while target == source:
                 target = rng.randrange(node_count)
             total_steps += route(graph, adapted, source, target).steps_taken
+        t3 = time.perf_counter()
         rows.append(
             BenchRow(
                 n=n,
@@ -416,5 +424,8 @@ def bench_routing(sizes: list[int], trials: int, seed: int) -> list[BenchRow]:
                 log2n_squared=math.log2(n) ** 2,
             )
         )
-        _log().info("bench n=%d mean_steps=%.2f", n, rows[-1].mean_steps)
+        _log().info(
+            "bench n=%d mean_steps=%.2f build=%.4fs adapt=%.4fs route=%.4fs",
+            n, rows[-1].mean_steps, t1 - t0, t2 - t1, t3 - t2,
+        )
     return rows

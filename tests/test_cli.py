@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 
 import pytest
 
@@ -69,6 +71,19 @@ class TestAdapt:
     def test_missing_network_file(self, tmp_path):
         assert main(["adapt", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("content, where", [
+        (None, "path"),
+        ('{"default": ', "path"),
+        ('{"levels": [0.5]}', "thresholds.levels: expected an object"),
+    ], ids=["missing", "malformed-json", "levels-not-object"])
+    def test_bad_thresholds_file(self, line_file, tmp_path, capsys, content, where):
+        path = tmp_path / "thresholds.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["adapt", str(line_file), "--k", "1", "--n", "4",
+                     "--thresholds", str(path)]) == EXIT_CONFIG
+        assert (str(path) if where == "path" else where) in capsys.readouterr().err
+
 
 class TestRoute:
     def test_found(self, line_file, capsys):
@@ -88,6 +103,24 @@ class TestRoute:
     def test_unknown_node_is_config_error(self, line_file):
         assert main(["route", str(line_file), "--k", "1", "--n", "4",
                      "--seed", "0", "--source", "0", "--target", "99"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("nodes, message", [
+        # was an internal error from sorting mixed ids
+        ([0, 1, 2, 3, "a"], "network.nodes[4]: expected an integer"),
+        # was accepted as node 1
+        ([0, True, 2, 3], "network.nodes[1]: expected an integer"),
+        # was an internal error from iterating an int
+        (4, "network.nodes: expected a list"),
+    ], ids=["string", "boolean", "not-a-list"])
+    def test_non_integer_node_id(self, line_file, tmp_path, capsys, nodes, message):
+        payload = json.loads(line_file.read_text())
+        payload["nodes"] = nodes
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(payload))
+        code = main(["route", str(path), "--k", "1", "--n", "5",
+                     "--source", "0", "--target", "3"])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("source,target", [(1, 0), (0, 1)])
     def test_link_endpoint_outside_node_set(self, tmp_path, capsys, source, target):
@@ -131,6 +164,14 @@ class TestAssign:
                          "--out", str(out)]) == EXIT_OK
             assert json.loads(out.read_text())["status"] == "feasible"
 
+    def test_bad_pstar_mode(self, instance_file, tmp_path, capsys):
+        payload = json.loads(instance_file.read_text())
+        payload["pstar_mode"] = "bogus"
+        bad = tmp_path / "bogus.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["assign", str(bad)]) == EXIT_CONFIG
+        assert "instance.pstar_mode: " in capsys.readouterr().err
+
     def test_infeasible_exit_code(self, instance_file, tmp_path, capsys):
         payload = json.loads(instance_file.read_text())
         payload["demands"][0]["rate"] = 100.0
@@ -167,6 +208,19 @@ class TestRun:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(payload))
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("seed_flag", [[], ["--seed", "3"]])
+    def test_malformed_scenario_json(self, tmp_path, capsys, seed_flag):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"seed": 11,')
+        assert main(["run", str(path), *seed_flag]) == EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+
+    def test_scenario_not_an_object_with_seed_flag(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text("[1, 2]")
+        assert main(["run", str(path), "--seed", "3"]) == EXIT_CONFIG
+        assert "scenario: expected an object" in capsys.readouterr().err
 
     def test_all_trials_infeasible(self, tmp_path, line_file):
         payload = self.scenario_payload()
@@ -207,6 +261,22 @@ class TestBenchRouting:
                      "--seed", "1", "--format", "json"]) == EXIT_OK
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["n"] == 4 and "normalized" in rows[0]
+
+    def test_verbose_logs_stage_timings_and_leaves_stdout_alone(self, capsys, caplog):
+        args = ["bench-routing", "--sizes", "4,8", "--trials", "5", "--seed", "1"]
+        assert main(args) == EXIT_OK
+        plain = capsys.readouterr().out
+        caplog.set_level(logging.INFO, logger="etopo")
+        assert main(["-v", *args]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("bench ")]
+        assert len(lines) == 2
+        for n, line in zip((4, 8), lines):
+            assert re.fullmatch(
+                rf"bench n={n} mean_steps=[0-9.]+ "
+                r"build=[0-9.]+s adapt=[0-9.]+s route=[0-9.]+s",
+                line,
+            )
 
     @pytest.mark.parametrize("flag, value", [
         ("--trials", "0"),

@@ -20,6 +20,7 @@ from etopo import (
     validate,
 )
 from etopo.scenario import records_to_csv, records_to_solutions
+from util import reference_kleinberg_lattice
 
 
 def line_network(length=4, throughput=4.0):
@@ -189,6 +190,16 @@ class TestGenerators:
         triples = [(l.id, l.a, l.b) for l in net.links]
         assert len(triples) == link_count
         assert hashlib.sha256(repr(triples).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 33])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_kleinberg_lattice_matches_reference(self, n, seed):
+        net, graph = kleinberg_lattice(n, seed)
+        ref_net, ref_graph = reference_kleinberg_lattice(n, seed)
+        assert net.links == ref_net.links
+        assert net.nodes == ref_net.nodes
+        assert graph.placement == ref_graph.placement
+        assert graph.contacts == ref_graph.contacts
 
     def test_derive_seed_is_stable_and_label_sensitive(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)

@@ -15,6 +15,7 @@ from typing import Optional
 
 from etopo import (
     AssignmentInstance,
+    ConfigError,
     Demand,
     EntangledLink,
     InterferenceSet,
@@ -158,6 +159,89 @@ def reference_simple_paths(graph, adapted, source, target):
 
     extend([source], [])
     return sorted(results)
+
+
+# -- reference Kleinberg lattice ----------------------------------------------
+#
+# The per-link lattice builder the package's bulk builder replaced, kept as
+# it was: grid and long-range links both pass one dedupe set, and the
+# distance is drawn by rng.choices. kleinberg_lattice must return the same
+# links, placement and contacts for every (n, seed).
+
+
+def _reference_distance_cum_weights(n: int) -> list[float]:
+    """Cumulative radial weights 1/d for d = 1 .. 2(n-1), as _sample_long_range
+    draws them; computed once per lattice."""
+    return list(itertools.accumulate(1.0 / d for d in range(1, 2 * (n - 1) + 1)))
+
+
+def _reference_sample_long_range(
+    rng: random.Random, origin: tuple[int, int], n: int, cum_weights: list[float]
+) -> Optional[tuple[int, int]]:
+    """Sample a cell at L1 distance d with probability proportional to d**-2.
+
+    Radial form: mass of distance d is (d**-2 * count_at(d)), with
+    count_at(d) about 4d on the open lattice, so d is drawn with weight
+    1/d and a uniform cell at that distance is kept if it lies on the
+    lattice. cum_weights is _distance_cum_weights(n).
+    """
+    x, y = origin
+    max_d = 2 * (n - 1)
+    if max_d < 2:
+        return None
+    for _ in range(64):
+        d = rng.choices(range(1, max_d + 1), cum_weights=cum_weights)[0]
+        dx = rng.randint(-d, d)
+        dy_mag = d - abs(dx)
+        dy = dy_mag if rng.random() < 0.5 else -dy_mag
+        cell = (x + dx, y + dy)
+        if cell == origin:
+            continue
+        if 0 <= cell[0] < n and 0 <= cell[1] < n:
+            return cell
+    return None
+
+
+def reference_kleinberg_lattice(n: int, seed: int):
+    """n-by-n lattice overlay: nearest-neighbor links plus one long-range
+    link per node, identity placement, all link probabilities 1."""
+    if n < 2:
+        raise ConfigError("lattice side must be >= 2")
+    rng = random.Random(seed)
+
+    def node_at(x: int, y: int) -> int:
+        return x * n + y
+
+    links: list[EntangledLink] = []
+    link_id = 0
+    pairs: set[tuple[int, int]] = set()
+
+    def add_link(u: int, v: int) -> None:
+        nonlocal link_id
+        key = (u, v) if u < v else (v, u)
+        if key in pairs:
+            return
+        pairs.add(key)
+        links.append(EntangledLink(id=link_id, a=key[0], b=key[1], level=1))
+        link_id += 1
+
+    for x in range(n):
+        for y in range(n):
+            if x + 1 < n:
+                add_link(node_at(x, y), node_at(x + 1, y))
+            if y + 1 < n:
+                add_link(node_at(x, y), node_at(x, y + 1))
+    cum_weights = _reference_distance_cum_weights(n)
+    for x in range(n):
+        for y in range(n):
+            cell = _reference_sample_long_range(rng, (x, y), n, cum_weights)
+            if cell is not None:
+                add_link(node_at(x, y), node_at(*cell))
+
+    network = make_network(range(n * n), links)
+    placement = {node_at(x, y): (x, y) for x in range(n) for y in range(n)}
+    graph = map_overlay(network, k=2, n=n, placement=placement)
+    return network, graph
 
 
 # -- assignment instance sampling ---------------------------------------------
