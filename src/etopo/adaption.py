@@ -2,7 +2,7 @@
 
 Every link is tested against the probability threshold of its level; the
 survivors form the adapted link set S-star together with the updated
-per-link probability p-star (zero on excluded links).
+per-link probability p-star (zero on excluded links, which are not stored).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
-from typing import Mapping
+from typing import KeysView, Mapping
 
 from .basegraph import BaseGraph, best_link
 from .errors import NotConnectedError
@@ -52,9 +52,11 @@ class ThresholdPolicy:
 class AdaptedLinkSet:
     """The filtered link set S-star and the updated probability field.
 
-    p_star_by_link holds each link's updated probability, zero for links
-    below threshold; link_p_star reads it. updated_probability gives the
-    per-pair value, the best over a pair's parallel links.
+    p_star_by_link maps each retained link to its updated probability and
+    holds retained links only; links is its read-only key view, the set
+    S-star. link_p_star reads the field, zero for links below threshold.
+    updated_probability gives the per-pair value, the best over a pair's
+    parallel links.
 
     The set belongs to the base-graph it was adapted on: adjacency holds,
     per node of that graph, its (neighbor, link id) contacts over retained
@@ -62,12 +64,15 @@ class AdaptedLinkSet:
     through adjacency_on.
     """
 
-    links: frozenset[LinkId]
     p_star_by_link: Mapping[LinkId, float]
     graph: BaseGraph = field(compare=False, repr=False)
     adjacency: Mapping[NodeId, tuple[tuple[NodeId, LinkId], ...]] = field(
         compare=False, repr=False
     )
+
+    @property
+    def links(self) -> KeysView[LinkId]:
+        return self.p_star_by_link.keys()
 
     def link_p_star(self, link_id: LinkId) -> float:
         return self.p_star_by_link.get(link_id, 0.0)
@@ -119,17 +124,18 @@ def updated_probability(
 
 
 def _retained_adjacency(
-    graph: BaseGraph, kept: frozenset[LinkId]
+    graph: BaseGraph, retained: Mapping[LinkId, float]
 ) -> Mapping[NodeId, tuple[tuple[NodeId, LinkId], ...]]:
-    """graph's contacts restricted to kept links, sharing every unpruned row."""
+    """graph's contacts restricted to retained links, sharing every unpruned row."""
     contacts = graph.contacts
     link_of = itemgetter(1)
-    if kept.issuperset(map(link_of, chain.from_iterable(contacts.values()))):
+    kept = retained.__contains__
+    if all(map(kept, map(link_of, chain.from_iterable(contacts.values())))):
         return contacts
     adjacency = {}
     for node, row in contacts.items():
-        if not kept.issuperset(map(link_of, row)):
-            row = tuple(c for c in row if c[1] in kept)
+        if not all(map(kept, map(link_of, row))):
+            row = tuple(c for c in row if kept(c[1]))
         adjacency[node] = row
     return adjacency
 
@@ -142,16 +148,14 @@ def adapt(
 ) -> AdaptedLinkSet:
     """Filter every link against its level threshold, for all contacts of all
     nodes, and index the survivors by node of graph for routing."""
-    kept: set[LinkId] = set()
-    by_link: dict[LinkId, float] = {}
+    retained: dict[LinkId, float] = {}
     for link in network.links:
-        retained, by_link[link.id] = _link_update(link, policy, mode)
-        if retained:
-            kept.add(link.id)
-    links = frozenset(kept)
+        meets, p_star = _link_update(link, policy, mode)
+        if meets:
+            retained[link.id] = p_star
     return AdaptedLinkSet(
-        links=links, p_star_by_link=by_link,
-        graph=graph, adjacency=_retained_adjacency(graph, links),
+        p_star_by_link=retained, graph=graph,
+        adjacency=_retained_adjacency(graph, retained),
     )
 
 

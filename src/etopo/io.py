@@ -93,6 +93,8 @@ def network_from_dict(data: Mapping[str, Any]) -> OverlayNetwork:
         if type(node) is not int:  # bool is an int subclass, and no node id
             raise ConfigError(f"network.nodes[{i}]: expected an integer, got {node!r}")
     nodes = frozenset(data["nodes"])
+    if not isinstance(data["links"], list):
+        raise ConfigError("network.links: expected a list")
     links = []
     for i, record in enumerate(data["links"]):
         _require(record, _LINK_FIELDS, f"network.links[{i}]")
@@ -120,10 +122,19 @@ def save_network(network: OverlayNetwork, path: PathLike) -> None:
 # -- placement ---------------------------------------------------------------
 
 def placement_from_list(data: Any) -> dict[int, tuple[int, ...]]:
+    if not isinstance(data, list):
+        raise ConfigError("placement: expected a list")
     placement: dict[int, tuple[int, ...]] = {}
     for i, record in enumerate(data):
         _require(record, ("node", "coords"), f"placement[{i}]")
-        placement[record["node"]] = tuple(record["coords"])
+        node, coords = record["node"], record["coords"]
+        if type(node) is not int:  # bool is an int subclass, and no node id
+            raise ConfigError(f"placement[{i}].node: expected an integer, got {node!r}")
+        if not isinstance(coords, list) or any(type(c) is not int for c in coords):
+            raise ConfigError(
+                f"placement[{i}].coords: expected a list of integers, got {coords!r}"
+            )
+        placement[node] = tuple(coords)
     return placement
 
 
@@ -133,14 +144,22 @@ def load_placement(path: PathLike) -> dict[int, tuple[int, ...]]:
 
 # -- thresholds --------------------------------------------------------------
 
+def _threshold(value: Any, context: str) -> float:
+    if type(value) not in (int, float):  # bool is an int subclass, and no number
+        raise ConfigError(f"{context}: expected a number, got {value!r}")
+    return float(value)
+
+
 def thresholds_from_dict(data: Mapping[str, Any]) -> ThresholdPolicy:
     _require(data, (), "thresholds", optional=("default", "levels"))
-    if not isinstance(data.get("levels", {}), dict):
+    levels = data.get("levels", {})
+    if not isinstance(levels, dict):
         raise ConfigError("thresholds.levels: expected an object")
     try:
-        levels = {int(l): float(t) for l, t in data.get("levels", {}).items()}
         return ThresholdPolicy(
-            default=float(data.get("default", 0.0)), per_level=levels
+            default=_threshold(data.get("default", 0.0), "thresholds.default"),
+            per_level={int(l): _threshold(t, f"thresholds.levels.{l}")
+                       for l, t in levels.items()},
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"thresholds: {exc}") from exc

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from math import inf
 from operator import sub
 from typing import Optional
 
@@ -68,6 +69,11 @@ def route(
     never revisited, bounding the walk to one visit per node. The returned
     path is the final stack, which is simple by construction. Raises
     ValueError when adapted was built on another base-graph.
+
+    The distance to the target is the L1 distance of the cells. On a planar
+    graph (k == 2) it is computed as abs(x - tx) + abs(y - ty) from the
+    unpacked cells; for any other k it is summed over the coordinates. Both
+    give the same integer, so outcomes are the same for every k.
     """
     adjacency = adapted.adjacency_on(graph)
     target_coord = graph.coord(target)
@@ -76,6 +82,9 @@ def route(
         return RoutingOutcome(RouteStatus.FOUND, Path((source,), ()), 0, 0)
 
     place = graph.placement
+    planar = graph.k == 2
+    if planar:
+        tx, ty = target_coord
     visited = {source}
     stack: list[NodeId] = [source]
     link_stack: list[LinkId] = []
@@ -83,17 +92,21 @@ def route(
     while stack:
         # Rows are sorted by (node, link), so keeping the first strictly
         # closer contact breaks distance ties by lowest node, then link.
-        best_lid = None
+        best_dist, best_lid = inf, None
         for nbr, lid in adjacency.get(stack[-1], ()):
             if nbr in visited:
                 continue
             try:
-                dist = sum(map(abs, map(sub, place[nbr], target_coord)))
+                if planar:
+                    x, y = place[nbr]
+                    dist = abs(x - tx) + abs(y - ty)
+                else:
+                    dist = sum(map(abs, map(sub, place[nbr], target_coord)))
             except KeyError:
                 raise NotFoundError(
                     f"node {nbr} is not mapped in the base-graph"
                 ) from None
-            if best_lid is None or dist < best_dist:
+            if dist < best_dist:
                 best_dist, best_nbr, best_lid = dist, nbr, lid
         steps += 1
         if best_lid is None:

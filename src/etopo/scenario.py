@@ -32,7 +32,7 @@ from .assignment import (
     solve_greedy,
 )
 from .basegraph import map_overlay
-from .errors import ConfigError, TooLargeError
+from .errors import ConfigError, NotFoundError, TooLargeError
 from .generate import (
     GeneratorParams,
     derive_seed,
@@ -263,7 +263,18 @@ def build_trial_instance(
 
 
 def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
+    """Run every trial; failure events naming no link of the base network
+    are skipped with a warning, one per event."""
     base = _base_network(scenario)
+    for event in scenario.failures:
+        try:
+            base.link_by_id(event.target)
+        except NotFoundError:
+            _log().warning(
+                "failure event %s at time %r targets link %r, which the base "
+                "network does not have; skipped",
+                event.kind.value, event.time, event.target,
+            )
     records: list[MetricsRecord] = []
     for trial in range(scenario.trials):
         t0 = time.perf_counter()

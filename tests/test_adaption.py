@@ -90,6 +90,25 @@ class TestAdapt:
         assert adapted.link_p_star(1) == 0.0
         assert adapted.link_p_star(0) == pytest.approx(0.95)
 
+    def test_links_is_a_read_only_set_view(self):
+        net, graph = three_link_setup()
+        kept = adapt(graph, net, ThresholdPolicy(default=0.9))
+        every = adapt(graph, net, ThresholdPolicy(default=0.0))
+        assert 0 in kept.links and 1 not in kept.links
+        assert len(kept.links) == 2 and len(every.links) == 3
+        assert kept.links == frozenset({0, 2}) and every.links != frozenset({0, 2})
+        assert kept.links <= every.links and not every.links <= kept.links
+        assert not hasattr(kept.links, "add") and not hasattr(kept.links, "discard")
+        # excluded links are not stored; link_p_star reads them as zero
+        assert sorted(kept.p_star_by_link) == [0, 2]
+        assert kept.link_p_star(1) == 0.0
+
+    def test_retained_at_zero_p_star_stays_in_links(self):
+        net, graph = three_link_setup()
+        pinned = adapt(graph, net, ThresholdPolicy(default=0.0), PStarMode.THRESHOLD)
+        assert pinned.links == {0, 1, 2}
+        assert all(pinned.link_p_star(l.id) == 0.0 for l in net.links)
+
     def test_per_level_thresholds(self):
         links = [
             EntangledLink(id=0, a=0, b=1, level=1, swap_success=0.7),

@@ -1,9 +1,14 @@
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import etopo
 from etopo import EntangledLink, make_network
 from etopo.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from etopo.io import load_network, save_network
@@ -75,7 +80,15 @@ class TestAdapt:
         (None, "path"),
         ('{"default": ', "path"),
         ('{"levels": [0.5]}', "thresholds.levels: expected an object"),
-    ], ids=["missing", "malformed-json", "levels-not-object"])
+        # was accepted as threshold 1.0
+        ('{"default": true}', "thresholds.default: expected a number"),
+        ('{"default": "0.5"}', "thresholds.default: expected a number"),
+        ('{"levels": {"1": false}}', "thresholds.levels.1: expected a number"),
+        ('{"levels": {"1": [0.5]}}', "thresholds.levels.1: expected a number"),
+        ('{"levels": {"one": 0.5}}', "thresholds: invalid literal"),
+        ('{"default": 1.5}', "thresholds: "),
+    ], ids=["missing", "malformed-json", "levels-not-object", "default-boolean",
+            "default-string", "level-boolean", "level-list", "level-key", "out-of-range"])
     def test_bad_thresholds_file(self, line_file, tmp_path, capsys, content, where):
         path = tmp_path / "thresholds.json"
         if content is not None:
@@ -121,6 +134,44 @@ class TestRoute:
                      "--source", "0", "--target", "3"])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    def test_links_not_a_list(self, line_file, tmp_path, capsys):
+        payload = json.loads(line_file.read_text())
+        payload["links"] = {str(link["id"]): link for link in payload["links"]}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(payload))
+        code = main(["route", str(path), "--k", "1", "--n", "4",
+                     "--source", "0", "--target", "3"])
+        assert code == EXIT_CONFIG
+        assert "network.links: expected a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("placement, message", [
+        # was an internal error comparing a string with the lattice bounds
+        ([{"node": 0, "coords": "ab"}], "placement[0].coords: expected a list of integers"),
+        ([{"node": 0, "coords": [0]}, {"node": 1, "coords": [True]}],
+         "placement[1].coords: expected a list of integers"),
+        ([{"node": 0, "coords": [0.0]}], "placement[0].coords: expected a list of integers"),
+        ([{"node": 0, "coords": 0}], "placement[0].coords: expected a list of integers"),
+        ([{"node": "0", "coords": [0]}], "placement[0].node: expected an integer"),
+        ([{"node": False, "coords": [0]}], "placement[0].node: expected an integer"),
+        ({"0": [0]}, "placement: expected a list"),
+    ], ids=["coords-string", "coords-boolean", "coords-float", "coords-int",
+            "node-string", "node-boolean", "not-a-list"])
+    def test_bad_placement_file(self, line_file, tmp_path, capsys, placement, message):
+        path = tmp_path / "placement.json"
+        path.write_text(json.dumps(placement))
+        code = main(["route", str(line_file), "--k", "1", "--n", "4",
+                     "--placement", str(path), "--source", "0", "--target", "3"])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_placement_file(self, line_file, tmp_path, capsys):
+        path = tmp_path / "placement.json"
+        path.write_text(json.dumps(
+            [{"node": i, "coords": [3 - i]} for i in range(4)]))
+        assert main(["route", str(line_file), "--k", "1", "--n", "4",
+                     "--placement", str(path), "--source", "0", "--target", "3"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["diameter"] == 3
 
     @pytest.mark.parametrize("source,target", [(1, 0), (0, 1)])
     def test_link_endpoint_outside_node_set(self, tmp_path, capsys, source, target):
@@ -287,3 +338,14 @@ class TestBenchRouting:
         assert main(["bench-routing", "--sizes", "4", "--trials", "3",
                      flag, value]) == EXIT_CONFIG
         assert flag in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(etopo.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "etopo", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK
+    assert done.stdout.startswith("usage: etopo ")
+    assert "bench-routing" in done.stdout

@@ -10,6 +10,7 @@ from etopo import (
     RouteStatus,
     ThresholdPolicy,
     adapt,
+    kleinberg_lattice,
     make_network,
     map_overlay,
     route,
@@ -163,14 +164,33 @@ class TestAdaptedAdjacency:
         with pytest.raises(NotFoundError):
             shortest_path_oracle(graph, adapted, source, target)
 
-    def test_unmapped_neighbor(self):
+    @pytest.mark.parametrize("seed", [0, 3, 2024])
+    def test_kleinberg_lattice_matches_reference(self, seed):
+        # The real planar shape: grid links, long links and distance ties.
+        net, graph = kleinberg_lattice(64, seed)
+        adapted = adapt(graph, net, ThresholdPolicy(default=0.0))
+        rng = random.Random(seed)
+        for _ in range(300):
+            source, target = rng.sample(range(64 * 64), 2)
+            assert route(graph, adapted, source, target) == reference_route(
+                graph, adapted, source, target)
+
+    @staticmethod
+    def assert_unmapped_neighbor_raises(k):
         # make_network does not check endpoints, so a contact can name a
         # node the placement never saw.
         links = [EntangledLink(id=0, a=0, b=1), EntangledLink(id=1, a=0, b=5)]
         net = make_network(range(2), links)
-        graph = map_overlay(net, k=1, n=2, placement={0: (0,), 1: (1,)})
+        graph = map_overlay(net, k=k, n=2, placement={0: (0,) * k, 1: (1,) * k})
         adapted = adapt(graph, net, ThresholdPolicy(default=0.0))
         with pytest.raises(NotFoundError):
             reference_route(graph, adapted, 0, 1)
         with pytest.raises(NotFoundError):
             route(graph, adapted, 0, 1)
+
+    def test_unmapped_neighbor(self):
+        self.assert_unmapped_neighbor_raises(1)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_unmapped_neighbor_in_higher_dimensions(self, k):
+        self.assert_unmapped_neighbor_raises(k)

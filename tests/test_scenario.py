@@ -114,6 +114,32 @@ class TestRunScenario:
         assert records[1].assign_status is SolveStatus.INFEASIBLE
         assert records[1].rejected == (0,)
 
+    def test_missing_failure_targets_warn_once_each(self, caplog):
+        from etopo import FailureEvent, FailureKind
+
+        valid = (
+            FailureEvent(target=1, kind=FailureKind.REMOVE_LINK, time=0),
+            # link 1 is gone by then: a legitimate skip, not a typo
+            FailureEvent(target=1, kind=FailureKind.DEGRADE_SWAP, magnitude=0.5, time=1),
+        )
+        missing = (
+            FailureEvent(target=999, kind=FailureKind.REMOVE_LINK, time=0),
+            FailureEvent(target=998, kind=FailureKind.DEGRADE_FIDELITY, magnitude=0.5,
+                         time=7),
+        )
+        clean = line_scenario(trials=3, failures=valid)
+        typo = line_scenario(trials=3, failures=valid + missing)
+        caplog.set_level("WARNING", logger="etopo")
+        expected = run_scenario(clean)
+        assert not caplog.records
+        got = run_scenario(typo)
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 2
+        for record, target in zip(warnings, (999, 998)):
+            assert f"targets link {target}," in record.getMessage()
+        assert records_to_csv(got) == records_to_csv(expected)
+        assert records_to_solutions(typo, got) == records_to_solutions(clean, expected)
+
     def test_deterministic_outputs(self):
         scenario = line_scenario()
         first = run_scenario(scenario)
