@@ -19,13 +19,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, MutableMapping, NamedTuple, Optional, Sequence
 
 from .adaption import AdaptedLinkSet
 from .basegraph import BaseGraph
 from .errors import NotFoundError, TooLargeError, Violation
 from .overlay import LinkId, NodeId, OverlayNetwork
-from .routing import route
+from .routing import RoutingOutcome, route
 
 StateId = int
 DemandId = int
@@ -34,6 +34,8 @@ UserId = int
 ResourceRef = tuple[LinkId, StateId]
 CTriple = tuple[UserId, LinkId, StateId]
 KTriple = tuple[UserId, DemandId, ResourceRef]
+# route() outcomes over one instance's graph and adapted set, by (source, target).
+RouteMemo = MutableMapping[tuple[NodeId, NodeId], RoutingOutcome]
 
 # Largest instance, in binary variables, that solve_exact accepts.
 BNB_VARIABLE_CAP = 40
@@ -547,7 +549,9 @@ def _solve_branch_and_bound(instance: AssignmentInstance) -> SolveResult:
     return _result(instance, best)
 
 
-def solve_greedy(instance: AssignmentInstance) -> SolveResult:
+def solve_greedy(
+    instance: AssignmentInstance, routes: Optional[RouteMemo] = None
+) -> SolveResult:
     """Serve demands one by one along greedy routes, spilling onto alternate
     links of an intermediate node when a link's states run out.
 
@@ -556,7 +560,17 @@ def solve_greedy(instance: AssignmentInstance) -> SolveResult:
     rejected, and the result is infeasible when any rejection occurs.
     States are consumed exclusively here, which is stricter than the exact
     solver's constraint set but never violates it.
+
+    routes memoizes route() by (source, target) for the demand routes and
+    the spill re-routes: the solver reads outcomes from it and adds those
+    it walks. route() depends only on the graph, the adapted set and the
+    pair, so the memo changes no result. The caller owns it and must fill
+    it from this instance's graph and adapted set only (run_scenario hands
+    in the routes of the trial that built the instance). Without one, the
+    solver keeps its own for the length of the call.
     """
+    if routes is None:
+        routes = {}
     order = sorted(
         range(len(instance.demands)),
         key=lambda q: (-instance.demand(q).rate, instance.demand(q).user),
@@ -582,7 +596,7 @@ def solve_greedy(instance: AssignmentInstance) -> SolveResult:
 
     for qid in order:
         demand = instance.demand(qid)
-        assignment = _greedy_serve(instance, qid, pick_state)
+        assignment = _greedy_serve(instance, qid, pick_state, routes)
         if assignment is None:
             rejected.append(qid)
             continue
@@ -603,13 +617,24 @@ def solve_greedy(instance: AssignmentInstance) -> SolveResult:
     )
 
 
+def _route_once(
+    instance: AssignmentInstance, routes: RouteMemo, source: NodeId, target: NodeId
+) -> RoutingOutcome:
+    outcome = routes.get((source, target))
+    if outcome is None:
+        outcome = route(instance.graph, instance.adapted, source, target)
+        routes[(source, target)] = outcome
+    return outcome
+
+
 def _greedy_serve(
     instance: AssignmentInstance,
     qid: DemandId,
     pick_state,
+    routes: RouteMemo,
 ) -> Optional[list[tuple[LinkId, StateId]]]:
     demand = instance.demand(qid)
-    outcome = route(instance.graph, instance.adapted, demand.source, demand.target)
+    outcome = _route_once(instance, routes, demand.source, demand.target)
     if not outcome.found:
         return None
     adjacency = instance.adapted.adjacency_on(instance.graph)
@@ -642,7 +667,7 @@ def _greedy_serve(
             alt_state = pick_state(qid, alt, pending)
             if alt_state is None:
                 continue
-            onward = route(instance.graph, instance.adapted, nbr, demand.target)
+            onward = _route_once(instance, routes, nbr, demand.target)
             if not onward.found:
                 continue
             if any(n in path_nodes for n in onward.path.nodes[1:]):

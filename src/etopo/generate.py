@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -42,29 +43,65 @@ class GeneratorParams:
     resource_range: tuple[int, int] = (1, 1)
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 2:
-            raise ConfigError("num_nodes must be >= 2")
-        if self.num_links < 0:
-            raise ConfigError("num_links must be >= 0")
-        if not self.levels or any(l < 1 for l in self.levels):
-            raise ConfigError("levels must be a nonempty list of integers >= 1")
+        """Check every field against what generate_network and EntangledLink
+        accept; a ConfigError names the field first ("swap_range: ...")."""
+        for name, minimum in (("num_nodes", 2), ("num_links", 0)):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool is an int subclass, and no count
+                raise ConfigError(f"{name}: expected an integer, got {value!r}")
+            if value < minimum:
+                raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
+        if (not isinstance(self.levels, (tuple, list)) or not self.levels
+                or any(type(l) is not int or l < 1 for l in self.levels)):
+            raise ConfigError(
+                f"levels: expected a nonempty list of integers >= 1, got {self.levels!r}"
+            )
+        for name in ("swap_range", "loss_range", "fidelity_range"):
+            _check_range(name, getattr(self, name), (int, float), 1)
+        _check_range("throughput_range", self.throughput_range, (int, float), math.inf)
+        _check_range("resource_range", self.resource_range, (int,), math.inf)
+        if self.resource_range[0] > self.resource_range[1]:
+            raise ConfigError(
+                f"resource_range: low {self.resource_range[0]} is above "
+                f"high {self.resource_range[1]}"
+            )
+
+
+def _check_range(name: str, value: object, types: tuple[type, ...], high: float) -> None:
+    """value must be two finite numbers of the given types, in [0, high]."""
+    kind = "integers" if types == (int,) else "numbers"
+    # type() rather than isinstance: bool is an int subclass, and no number.
+    if (not isinstance(value, (tuple, list)) or len(value) != 2
+            or any(type(v) not in types or (type(v) is float and not math.isfinite(v))
+                   for v in value)):
+        raise ConfigError(f"{name}: expected two finite {kind}, got {value!r}")
+    if min(value) < 0 or max(value) > high:
+        raise ConfigError(f"{name}: {list(value)} is outside [0, {high}]")
 
 
 def generate_network(params: GeneratorParams, seed: int) -> OverlayNetwork:
     """Random overlay with the requested link count; deterministic in (params, seed)."""
     rng = random.Random(seed)
-    nodes = list(range(params.num_nodes))
-    combos = [
-        (a, b, level)
-        for (a, b) in itertools.combinations(nodes, 2)
-        for level in params.levels
-    ]
-    if params.num_links > len(combos):
+    n = params.num_nodes
+    nodes = list(range(n))
+    levels = params.levels
+    # Slot i is the (a, b, level) tuple at index i of the list
+    # [(a, b, level) for (a, b) in combinations(nodes, 2) for level in levels],
+    # which is never built: rng.sample reads only the population's length
+    # and items, so sampling the indices draws the same slots.
+    slots = n * (n - 1) // 2 * len(levels)
+    if params.num_links > slots:
         raise ConfigError(
-            f"cannot place {params.num_links} links: only {len(combos)} distinct "
+            f"cannot place {params.num_links} links: only {slots} distinct "
             f"(pair, level) slots exist"
         )
-    chosen = rng.sample(combos, params.num_links)
+    # row_starts[a] is the index in combinations order of the pair (a, a + 1).
+    row_starts = list(itertools.accumulate(range(n - 1, 0, -1), initial=0))
+    chosen = []
+    for i in rng.sample(range(slots), params.num_links):
+        pair, j = divmod(i, len(levels))
+        a = bisect.bisect_right(row_starts, pair) - 1
+        chosen.append((a, a + 1 + pair - row_starts[a], levels[j]))
     links = []
     for link_id, (a, b, level) in enumerate(sorted(chosen)):
         links.append(

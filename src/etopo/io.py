@@ -50,6 +50,41 @@ def _require(record: Mapping[str, Any], fields: tuple[str, ...], context: str,
         raise ConfigError(f"{context}: missing fields {sorted(missing)}")
 
 
+# Typed field readers. The field path is context plus key (".key", or
+# "[key]" for a list index) and is formatted only for the error, so that
+# reading valid files costs one call per field.
+
+def _path(context: str, key: Union[str, int]) -> str:
+    return f"{context}[{key}]" if type(key) is int else f"{context}.{key}"
+
+
+def _integer(value: Any, context: str, key: Union[str, int],
+             minimum: Optional[int] = None) -> int:
+    if type(value) is not int:  # bool is an int subclass, and no count or id
+        raise ConfigError(f"{_path(context, key)}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{_path(context, key)}: must be >= {minimum}, got {value}")
+    return value
+
+
+def _number(value: Any, context: str, key: Union[str, int]) -> Union[int, float]:
+    if type(value) not in (int, float):  # bool is an int subclass, and no number
+        raise ConfigError(f"{_path(context, key)}: expected a number, got {value!r}")
+    return value
+
+
+def _list(value: Any, context: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{context}: expected a list")
+    return value
+
+
+def _base_graph_shape(record: Mapping[str, Any], context: str) -> tuple[int, int]:
+    """The (k, n) of a base_graph record; map_overlay needs k >= 1, n >= 2."""
+    return (_integer(record["k"], context, "k", minimum=1),
+            _integer(record["n"], context, "n", minimum=2))
+
+
 def _load_json(path: PathLike) -> Any:
     try:
         return json.loads(Path(path).read_bytes())
@@ -87,16 +122,12 @@ def network_to_dict(network: OverlayNetwork) -> dict:
 
 def network_from_dict(data: Mapping[str, Any]) -> OverlayNetwork:
     _require(data, ("nodes", "links"), "network")
-    if not isinstance(data["nodes"], list):
-        raise ConfigError("network.nodes: expected a list")
-    for i, node in enumerate(data["nodes"]):
+    for i, node in enumerate(_list(data["nodes"], "network.nodes")):
         if type(node) is not int:  # bool is an int subclass, and no node id
             raise ConfigError(f"network.nodes[{i}]: expected an integer, got {node!r}")
     nodes = frozenset(data["nodes"])
-    if not isinstance(data["links"], list):
-        raise ConfigError("network.links: expected a list")
     links = []
-    for i, record in enumerate(data["links"]):
+    for i, record in enumerate(_list(data["links"], "network.links")):
         _require(record, _LINK_FIELDS, f"network.links[{i}]")
         try:
             link = EntangledLink(**record)
@@ -122,10 +153,8 @@ def save_network(network: OverlayNetwork, path: PathLike) -> None:
 # -- placement ---------------------------------------------------------------
 
 def placement_from_list(data: Any) -> dict[int, tuple[int, ...]]:
-    if not isinstance(data, list):
-        raise ConfigError("placement: expected a list")
     placement: dict[int, tuple[int, ...]] = {}
-    for i, record in enumerate(data):
+    for i, record in enumerate(_list(data, "placement")):
         _require(record, ("node", "coords"), f"placement[{i}]")
         node, coords = record["node"], record["coords"]
         if type(node) is not int:  # bool is an int subclass, and no node id
@@ -144,12 +173,6 @@ def load_placement(path: PathLike) -> dict[int, tuple[int, ...]]:
 
 # -- thresholds --------------------------------------------------------------
 
-def _threshold(value: Any, context: str) -> float:
-    if type(value) not in (int, float):  # bool is an int subclass, and no number
-        raise ConfigError(f"{context}: expected a number, got {value!r}")
-    return float(value)
-
-
 def thresholds_from_dict(data: Mapping[str, Any]) -> ThresholdPolicy:
     _require(data, (), "thresholds", optional=("default", "levels"))
     levels = data.get("levels", {})
@@ -157,8 +180,8 @@ def thresholds_from_dict(data: Mapping[str, Any]) -> ThresholdPolicy:
         raise ConfigError("thresholds.levels: expected an object")
     try:
         return ThresholdPolicy(
-            default=_threshold(data.get("default", 0.0), "thresholds.default"),
-            per_level={int(l): _threshold(t, f"thresholds.levels.{l}")
+            default=float(_number(data.get("default", 0.0), "thresholds", "default")),
+            per_level={int(l): float(_number(t, "thresholds.levels", l))
                        for l, t in levels.items()},
         )
     except (TypeError, ValueError) as exc:
@@ -178,10 +201,10 @@ def failure_from_dict(data: Mapping[str, Any], context: str) -> FailureEvent:
     _require(data, ("target", "kind"), context, optional=("magnitude", "time"))
     try:
         return FailureEvent(
-            target=data["target"],
+            target=_integer(data["target"], context, "target"),
             kind=FailureKind(data["kind"]),
-            magnitude=data.get("magnitude", 0.0),
-            time=data.get("time", 0),
+            magnitude=_number(data.get("magnitude", 0.0), context, "magnitude"),
+            time=_integer(data.get("time", 0), context, "time"),
         )
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
@@ -191,8 +214,10 @@ def demand_from_dict(data: Mapping[str, Any], context: str) -> Demand:
     _require(data, ("user", "source", "target"), context, optional=("rate",))
     try:
         return Demand(
-            user=data["user"], source=data["source"], target=data["target"],
-            rate=data.get("rate", 0.0),
+            user=_integer(data["user"], context, "user"),
+            source=_integer(data["source"], context, "source"),
+            target=_integer(data["target"], context, "target"),
+            rate=_number(data.get("rate", 0.0), context, "rate"),
         )
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
@@ -229,7 +254,8 @@ def instance_from_dict(
     bg = data["base_graph"]
     _require(bg, ("k", "n"), "instance.base_graph", optional=("placement", "seed"))
     placement = placement_from_list(bg["placement"]) if "placement" in bg else None
-    graph = map_overlay(network, bg["k"], bg["n"], placement=placement, seed=bg.get("seed"))
+    k, n = _base_graph_shape(bg, "instance.base_graph")
+    graph = map_overlay(network, k, n, placement=placement, seed=bg.get("seed"))
 
     policy = thresholds_from_dict(data.get("thresholds", {}))
     try:

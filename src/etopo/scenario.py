@@ -15,7 +15,7 @@ import io as _io
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
@@ -26,6 +26,7 @@ from .assignment import (
     Demand,
     InterferenceSet,
     ResourceSet,
+    RouteMemo,
     SolveResult,
     SolveStatus,
     solve_exact,
@@ -40,6 +41,9 @@ from .generate import (
     kleinberg_lattice,
 )
 from .io import (
+    _base_graph_shape,
+    _integer,
+    _list,
     _require,
     demand_from_dict,
     demand_to_dict,
@@ -50,7 +54,7 @@ from .io import (
     thresholds_from_dict,
     thresholds_to_dict,
 )
-from .overlay import FailureEvent, OverlayNetwork, apply_failures
+from .overlay import FailureEvent, LinkId, OverlayNetwork, apply_failures
 from .routing import RouteStatus, RoutingOutcome, route
 
 
@@ -103,6 +107,7 @@ def scenario_from_dict(data: Mapping[str, Any], base_dir: Optional[Path] = None)
     )
     bg = data["base_graph"]
     _require(bg, ("k", "n"), "scenario.base_graph", optional=("placement",))
+    k, n = _base_graph_shape(bg, "scenario.base_graph")
     placement = None
     if "placement" in bg:
         from .io import placement_from_list
@@ -110,20 +115,21 @@ def scenario_from_dict(data: Mapping[str, Any], base_dir: Optional[Path] = None)
         placement = placement_from_list(bg["placement"])
     generator = None
     if "generator" in data:
+        gen = data["generator"]
+        _require(gen, (), "scenario.generator",
+                 optional=tuple(f.name for f in fields(GeneratorParams)))
         try:
-            gen = dict(data["generator"])
-            for key in ("levels",):
-                if key in gen:
-                    gen[key] = tuple(gen[key])
-            for key in ("swap_range", "loss_range", "fidelity_range",
-                        "throughput_range", "resource_range"):
-                if key in gen:
-                    gen[key] = tuple(gen[key])
-            generator = GeneratorParams(**gen)
-        except TypeError as exc:
-            raise ConfigError(f"scenario.generator: {exc}") from exc
+            generator = GeneratorParams(**{
+                key: tuple(value) if isinstance(value, list) else value
+                for key, value in gen.items()
+            })
+        except ConfigError as exc:
+            # GeneratorParams names the field first: "swap_range: ...".
+            raise ConfigError(f"scenario.generator.{exc}") from exc
     network_inline = network_from_dict(data["network"]) if "network" in data else None
     network_file = data.get("network_file")
+    if network_file is not None and not isinstance(network_file, str):
+        raise ConfigError(f"scenario.network_file: expected a string, got {network_file!r}")
     if network_file is not None and base_dir is not None:
         ref = Path(network_file)
         network_file = str(ref if ref.is_absolute() else base_dir / ref)
@@ -132,23 +138,23 @@ def scenario_from_dict(data: Mapping[str, Any], base_dir: Optional[Path] = None)
     except ValueError as exc:
         raise ConfigError(f"scenario.pstar_mode: {exc}") from exc
     return Scenario(
-        seed=data["seed"],
-        trials=data["trials"],
+        seed=_integer(data["seed"], "scenario", "seed"),
+        trials=_integer(data["trials"], "scenario", "trials", minimum=1),
         network_file=network_file,
         network_inline=network_inline,
         generator=generator,
-        k=bg["k"],
-        n=bg["n"],
+        k=k,
+        n=n,
         placement=placement,
         thresholds=thresholds_from_dict(data.get("thresholds", {})),
         pstar_mode=mode,
         demands=tuple(
             demand_from_dict(d, f"scenario.demands[{i}]")
-            for i, d in enumerate(data["demands"])
+            for i, d in enumerate(_list(data["demands"], "scenario.demands"))
         ),
         failures=tuple(
             failure_from_dict(f, f"scenario.failures[{i}]")
-            for i, f in enumerate(data.get("failures", []))
+            for i, f in enumerate(_list(data.get("failures", []), "scenario.failures"))
         ),
     )
 
@@ -211,12 +217,21 @@ def _base_network(scenario: Scenario) -> OverlayNetwork:
     return generate_network(scenario.generator, derive_seed(scenario.seed, "network"))
 
 
+def link_resource_sets(network: OverlayNetwork) -> dict[LinkId, ResourceSet]:
+    """One ResourceSet per link, holding states 0 .. resource_count - 1."""
+    return {
+        link.id: ResourceSet(link=link.id, states=tuple(range(link.resource_count)))
+        for link in network.links
+    }
+
+
 def build_trial_instance(
     network: OverlayNetwork,
     graph,
     adapted,
     demands: tuple[Demand, ...],
     outcomes: Mapping[int, RoutingOutcome],
+    resource_sets: Mapping[LinkId, ResourceSet],
 ) -> tuple[AssignmentInstance, dict[int, int]]:
     """Assignment instance over the routable demands.
 
@@ -224,6 +239,13 @@ def build_trial_instance(
     is declared on every state of a link crossed by two or more routed
     demand paths. Returns the instance plus the map from instance-local
     demand ids back to scenario demand ids.
+
+    resource_sets is link_resource_sets of a network that holds every
+    link of this one with the same resource_count, such as the base
+    network the trial's failures were applied to (failures never change
+    resource_count); the instance takes the sets of the adapted links from
+    it, in network.links order. The instance holds no route memo:
+    run_scenario owns the trial's routes and hands them to solve_greedy.
     """
     routable = [
         qid for qid in sorted(outcomes)
@@ -231,10 +253,11 @@ def build_trial_instance(
     ]
     local_of = {qid: i for i, qid in enumerate(routable)}
     instance_demands = tuple(demands[qid] for qid in routable)
-    resource_sets = {
-        link.id: ResourceSet(link=link.id, states=tuple(range(link.resource_count)))
+    retained = adapted.links
+    retained_sets = {
+        link.id: resource_sets[link.id]
         for link in network.links
-        if link.id in adapted.links
+        if link.id in retained
     }
     users_on_link: dict[int, list[int]] = {}
     for qid in routable:
@@ -249,14 +272,14 @@ def build_trial_instance(
         competing = tuple(
             (demands[qid].user, local_of[qid]) for qid in contenders
         )
-        for state in resource_sets[lid].states:
+        for state in retained_sets[lid].states:
             interference.append(InterferenceSet(link=lid, state=state, competing=competing))
     instance = AssignmentInstance(
         network=network,
         graph=graph,
         adapted=adapted,
         demands=instance_demands,
-        resource_sets=resource_sets,
+        resource_sets=retained_sets,
         interference=tuple(interference),
     )
     return instance, {i: qid for qid, i in local_of.items()}
@@ -264,8 +287,15 @@ def build_trial_instance(
 
 def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
     """Run every trial; failure events naming no link of the base network
-    are skipped with a warning, one per event."""
+    are skipped with a warning, one per event.
+
+    Each trial routes each distinct (source, target) pair of its demands
+    once, into a route memo that this function owns and drops when the
+    trial ends; the greedy solver reads it and adds its spill re-routes.
+    The resource sets are built once, from the base network.
+    """
     base = _base_network(scenario)
+    resource_sets = link_resource_sets(base)
     for event in scenario.failures:
         try:
             base.link_by_id(event.target)
@@ -288,13 +318,17 @@ def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
         adapted = adapt(graph, network, scenario.thresholds, scenario.pstar_mode)
         t1 = time.perf_counter()
 
+        routes: RouteMemo = {}
         outcomes: dict[int, RoutingOutcome] = {}
         for qid, demand in enumerate(scenario.demands):
-            outcomes[qid] = route(graph, adapted, demand.source, demand.target)
+            pair = (demand.source, demand.target)
+            if pair not in routes:
+                routes[pair] = route(graph, adapted, *pair)
+            outcomes[qid] = routes[pair]
         t2 = time.perf_counter()
 
         instance, back = build_trial_instance(
-            network, graph, adapted, scenario.demands, outcomes
+            network, graph, adapted, scenario.demands, outcomes, resource_sets
         )
         unroutable = tuple(
             qid for qid in sorted(outcomes)
@@ -304,7 +338,7 @@ def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
             try:
                 result = solve_exact(instance)
             except TooLargeError:
-                result = solve_greedy(instance)
+                result = solve_greedy(instance, routes)
             served = tuple(sorted(back[i] for i in result.served))
             rejected = tuple(sorted({back[i] for i in result.rejected} | set(unroutable)))
             status = (

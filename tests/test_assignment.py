@@ -19,6 +19,7 @@ from etopo import (
     make_network,
     map_overlay,
     objective,
+    route,
     solve_exact,
     solve_greedy,
     validate_instance,
@@ -273,52 +274,71 @@ class TestSolveExact:
         assert oracle_solve(inst)[2] == result.solution.C
 
 
+def parallel_greedy_instance():
+    links = [
+        EntangledLink(id=0, a=0, b=2, throughput=9.0),
+        EntangledLink(id=1, a=1, b=2, throughput=9.0),
+        EntangledLink(id=2, a=2, b=3, throughput=9.0, resource_count=3),
+    ]
+    demands = [
+        Demand(user=0, source=0, target=3, rate=1.0),
+        Demand(user=1, source=1, target=3, rate=1.0),
+    ]
+    interference = [
+        InterferenceSet(link=2, state=s, competing=((0, 0), (1, 1)))
+        for s in range(3)
+    ]
+    return build_instance(links, demands, interference=interference)
+
+
+def spill_greedy_instance():
+    links = [
+        EntangledLink(id=0, a=0, b=2, throughput=9.0),
+        EntangledLink(id=1, a=1, b=2, throughput=9.0),
+        EntangledLink(id=2, a=2, b=3, throughput=9.0),   # one state only
+        EntangledLink(id=3, a=2, b=4, throughput=9.0),
+        EntangledLink(id=4, a=4, b=3, throughput=9.0),
+    ]
+    demands = [
+        Demand(user=0, source=0, target=3, rate=2.0),
+        Demand(user=1, source=1, target=3, rate=1.0),
+    ]
+    interference = [InterferenceSet(link=2, state=0, competing=((0, 0), (1, 1)))]
+    return build_instance(links, demands, interference=interference)
+
+
+def unroutable_greedy_instance():
+    links = [
+        EntangledLink(id=0, a=0, b=1, throughput=9.0),
+        EntangledLink(id=1, a=2, b=3, throughput=9.0),
+    ]
+    return build_instance(links, [Demand(user=0, source=0, target=3, rate=1.0)])
+
+
+def random_greedy_instances(count=30, seed=13):
+    rng = random.Random(seed)
+    instances = []
+    while len(instances) < count:
+        inst = random_instance(rng)
+        if inst is not None:
+            instances.append(inst)
+    return instances
+
+
 class TestSolveGreedy:
     def test_trivial_parallel_serving(self):
-        links = [
-            EntangledLink(id=0, a=0, b=2, throughput=9.0),
-            EntangledLink(id=1, a=1, b=2, throughput=9.0),
-            EntangledLink(id=2, a=2, b=3, throughput=9.0, resource_count=3),
-        ]
-        demands = [
-            Demand(user=0, source=0, target=3, rate=1.0),
-            Demand(user=1, source=1, target=3, rate=1.0),
-        ]
-        interference = [
-            InterferenceSet(link=2, state=s, competing=((0, 0), (1, 1)))
-            for s in range(3)
-        ]
-        inst = build_instance(links, demands, interference=interference)
-        result = solve_greedy(inst)
+        result = solve_greedy(parallel_greedy_instance())
         assert result.feasible and len(result.served) == 2
 
     def test_spill_to_alternate_link(self):
-        links = [
-            EntangledLink(id=0, a=0, b=2, throughput=9.0),
-            EntangledLink(id=1, a=1, b=2, throughput=9.0),
-            EntangledLink(id=2, a=2, b=3, throughput=9.0),   # one state only
-            EntangledLink(id=3, a=2, b=4, throughput=9.0),
-            EntangledLink(id=4, a=4, b=3, throughput=9.0),
-        ]
-        demands = [
-            Demand(user=0, source=0, target=3, rate=2.0),
-            Demand(user=1, source=1, target=3, rate=1.0),
-        ]
-        interference = [InterferenceSet(link=2, state=0, competing=((0, 0), (1, 1)))]
-        inst = build_instance(links, demands, interference=interference)
-        result = solve_greedy(inst)
+        result = solve_greedy(spill_greedy_instance())
         assert result.feasible and len(result.served) == 2
         # the lower-rate demand spilled through node 4
         spilled = {(link, state) for u, link, state in result.solution.C if u == 1}
         assert (3, 0) in spilled and (4, 0) in spilled
 
     def test_greedy_never_beats_exact(self):
-        rng = random.Random(13)
-        checked = 0
-        while checked < 30:
-            inst = random_instance(rng)
-            if inst is None:
-                continue
+        for inst in random_greedy_instances():
             greedy = solve_greedy(inst)
             exact = solve_exact(inst)
             if greedy.feasible and exact.feasible:
@@ -327,15 +347,23 @@ class TestSolveGreedy:
                 assert exact.feasible
                 assert check_capacity(inst, greedy.solution) == []
                 assert check_interference(inst, greedy.solution) == []
-            checked += 1
 
     def test_unroutable_demand_rejected(self):
-        links = [
-            EntangledLink(id=0, a=0, b=1, throughput=9.0),
-            EntangledLink(id=1, a=2, b=3, throughput=9.0),
-        ]
-        demands = [Demand(user=0, source=0, target=3, rate=1.0)]
-        inst = build_instance(links, demands)
-        result = solve_greedy(inst)
+        result = solve_greedy(unroutable_greedy_instance())
         assert result.status is SolveStatus.INFEASIBLE
         assert result.rejected == (0,)
+
+    def test_route_memo_changes_no_result(self):
+        instances = [parallel_greedy_instance(), spill_greedy_instance(),
+                     unroutable_greedy_instance(), *random_greedy_instances()]
+        for inst in instances:
+            routes = {}
+            expected = solve_greedy(inst)
+            assert solve_greedy(inst, routes) == expected
+            # The memo holds what route() gives, for every demand's pair at least.
+            for d in inst.demands:
+                assert (d.source, d.target) in routes
+            for (source, target), outcome in routes.items():
+                assert outcome == route(inst.graph, inst.adapted, source, target)
+            # A memo already filled by an earlier call is read, not re-walked.
+            assert solve_greedy(inst, routes) == expected

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -12,6 +13,7 @@ import etopo
 from etopo import EntangledLink, make_network
 from etopo.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from etopo.io import load_network, save_network
+from util import greedy_scenario_payload
 
 
 @pytest.fixture(autouse=True)
@@ -280,6 +282,67 @@ class TestRun:
         path.write_text(json.dumps(payload))
         assert main(["run", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_INFEASIBLE
+
+
+    def test_greedy_scenario_outputs_are_pinned(self, tmp_path):
+        # metrics.csv + solutions.json of a scenario that routes, spills,
+        # fails links and solves greedily: a faster pipeline must write
+        # these same bytes.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(greedy_scenario_payload()))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_INFEASIBLE
+        data = (out / "metrics.csv").read_bytes() + (out / "solutions.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "828ad4014b0ec6121c0f46ea9a78cf1cf6e722a668cef962b020679950eccd58"
+        )
+
+    @pytest.mark.parametrize("field, value", [
+        (("trials",), "2"),
+        (("seed",), "7"),
+        (("base_graph", "k"), "1"),
+        (("base_graph", "n"), True),
+        (("base_graph", "k"), 0),
+        (("demands", 0, "rate"), "1"),
+        (("demands", 0, "user"), True),
+        (("demands", 0, "source"), "0"),
+        (("failures", 0, "time"), "1"),
+        (("failures", 0, "target"), True),
+        (("failures", 0, "magnitude"), True),
+        (("demands",), {}),
+        (("generator", "swap_range"), [0.5, 2.0]),
+        (("generator", "swap_range"), [0.5, 0.75, 1.0]),
+        (("generator", "swap_range"), [True, 1.0]),
+        (("generator", "loss_range"), [-0.25, 0.5]),
+        (("generator", "fidelity_range"), 0.5),
+        (("generator", "throughput_range"), [-1.0, 2.0]),
+        (("generator", "resource_range"), [1.5, 2]),
+        (("generator", "resource_range"), [False, 2]),
+        (("generator", "resource_range"), [2, 1]),
+        (("generator", "num_nodes"), True),
+        (("generator", "num_links"), 4.0),
+        (("generator", "levels"), "12"),
+    ], ids=lambda v: repr(v))
+    def test_malformed_field_names_its_path(self, tmp_path, capsys, field, value):
+        payload = {
+            "seed": 5, "trials": 1,
+            "generator": {"num_nodes": 8, "num_links": 12},
+            "base_graph": {"k": 2, "n": 4},
+            "demands": [{"user": 0, "source": 0, "target": 3, "rate": 1.0}],
+            "failures": [{"target": 1, "kind": "degrade-swap", "magnitude": 0.5,
+                          "time": 0}],
+        }
+        record = payload
+        for key in field[:-1]:
+            record = record[key]
+        record[field[-1]] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        where = "scenario" + "".join(
+            f"[{key}]" if isinstance(key, int) else f".{key}" for key in field
+        )
+        assert f"error: {where}: " in capsys.readouterr().err
 
 
 class TestReduceColoring:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 
 import pytest
@@ -6,6 +7,7 @@ from etopo import (
     ConfigError,
     Demand,
     EntangledLink,
+    FailureKind,
     GeneratorParams,
     Scenario,
     SolveStatus,
@@ -19,8 +21,12 @@ from etopo import (
     scenario_to_dict,
     validate,
 )
-from etopo.scenario import records_to_csv, records_to_solutions
-from util import reference_kleinberg_lattice
+from etopo.scenario import BNB_VARIABLE_CAP, records_to_csv, records_to_solutions
+from util import (
+    greedy_scenario_payload,
+    reference_generate_network,
+    reference_kleinberg_lattice,
+)
 
 
 def line_network(length=4, throughput=4.0):
@@ -155,6 +161,49 @@ class TestRunScenario:
         assert len(lines) == 2
         assert lines[1].startswith("0,3,3,1,1,0,feasible,")
 
+    def test_each_pair_is_routed_once_per_trial(self, monkeypatch):
+        import etopo.assignment
+        import etopo.scenario
+
+        trial = [-1]
+        walks = collections.Counter()
+        instances = []
+        map_overlay = etopo.scenario.map_overlay
+        build = etopo.scenario.build_trial_instance
+
+        def next_trial(*args, **kwargs):
+            trial[0] += 1
+            return map_overlay(*args, **kwargs)
+
+        def keep(*args, **kwargs):
+            built = build(*args, **kwargs)
+            instances.append(built[0])
+            return built
+
+        def counted(route):
+            def walk(graph, adapted, source, target):
+                walks[(trial[0], source, target)] += 1
+                return route(graph, adapted, source, target)
+            return walk
+
+        monkeypatch.setattr(etopo.scenario, "map_overlay", next_trial)
+        monkeypatch.setattr(etopo.scenario, "build_trial_instance", keep)
+        monkeypatch.setattr(etopo.scenario, "route", counted(etopo.scenario.route))
+        monkeypatch.setattr(etopo.assignment, "route", counted(etopo.assignment.route))
+        scenario = scenario_from_dict(greedy_scenario_payload())
+        records = run_scenario(scenario)
+
+        # The scenario covers what the route memo has to: every failure
+        # kind, greedy solving above the exact cap, and spill re-routes
+        # (walks from a node that is no demand's source).
+        assert {f.kind for f in scenario.failures} == set(FailureKind)
+        assert len(records) == len(instances) == 2
+        assert all(inst.n_variables() > BNB_VARIABLE_CAP for inst in instances)
+        sources = {d.source for d in scenario.demands}
+        for t in range(2):
+            assert any(s not in sources for (tr, s, _) in walks if tr == t)
+        assert max(walks.values()) == 1
+
     def test_contention_forces_rejection(self):
         # two demands share the only state of the final link
         net = make_network(
@@ -226,6 +275,32 @@ class TestGenerators:
         assert net.nodes == ref_net.nodes
         assert graph.placement == ref_graph.placement
         assert graph.contacts == ref_graph.contacts
+
+    # Counts 0 .. slots // 3 and slots make random.sample copy the slot
+    # range into a list; 5 and slots // 30 (from 10 nodes on) make it draw
+    # indices into a set. Both must pick what the listed slots give.
+    @pytest.mark.parametrize("num_nodes", [2, 3, 5, 10, 40, 120])
+    @pytest.mark.parametrize("levels", [(1,), (1, 2), (2, 1), (3, 1, 2)])
+    @pytest.mark.parametrize("count", ["none", "five", "thirtieth", "third", "all"])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_generate_network_matches_reference(self, num_nodes, levels, count, seed):
+        slots = num_nodes * (num_nodes - 1) // 2 * len(levels)
+        num_links = {"none": 0, "five": min(5, slots), "thirtieth": slots // 30,
+                     "third": slots // 3, "all": slots}[count]
+        params = GeneratorParams(num_nodes=num_nodes, num_links=num_links, levels=levels,
+                                 resource_range=(0, 3))
+        assert generate_network(params, seed) == reference_generate_network(params, seed)
+
+    @pytest.mark.parametrize("num_nodes, levels", [(2, (1,)), (10, (1, 2)), (40, (3, 1, 2))])
+    def test_too_many_links_message_is_unchanged(self, num_nodes, levels):
+        slots = num_nodes * (num_nodes - 1) // 2 * len(levels)
+        params = GeneratorParams(num_nodes=num_nodes, num_links=slots + 1, levels=levels)
+        with pytest.raises(ConfigError) as expected:
+            reference_generate_network(params, 0)
+        with pytest.raises(ConfigError) as got:
+            generate_network(params, 0)
+        assert str(got.value) == str(expected.value)
+        assert f"only {slots} distinct" in str(got.value)
 
     def test_derive_seed_is_stable_and_label_sensitive(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)

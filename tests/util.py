@@ -18,6 +18,7 @@ from etopo import (
     ConfigError,
     Demand,
     EntangledLink,
+    GeneratorParams,
     InterferenceSet,
     Path,
     ResourceSet,
@@ -244,6 +245,46 @@ def reference_kleinberg_lattice(n: int, seed: int):
     return network, graph
 
 
+# -- reference overlay generator ----------------------------------------------
+#
+# The generator as it was before it sampled slot indices: it lists every
+# (a, b, level) slot and samples from that list. generate_network must
+# return the same network for every (params, seed).
+
+
+def reference_generate_network(params: GeneratorParams, seed: int):
+    """Random overlay with the requested link count; deterministic in (params, seed)."""
+    rng = random.Random(seed)
+    nodes = list(range(params.num_nodes))
+    combos = [
+        (a, b, level)
+        for (a, b) in itertools.combinations(nodes, 2)
+        for level in params.levels
+    ]
+    if params.num_links > len(combos):
+        raise ConfigError(
+            f"cannot place {params.num_links} links: only {len(combos)} distinct "
+            f"(pair, level) slots exist"
+        )
+    chosen = rng.sample(combos, params.num_links)
+    links = []
+    for link_id, (a, b, level) in enumerate(sorted(chosen)):
+        links.append(
+            EntangledLink(
+                id=link_id,
+                a=a,
+                b=b,
+                level=level,
+                swap_success=rng.uniform(*params.swap_range),
+                photon_loss=rng.uniform(*params.loss_range),
+                fidelity=rng.uniform(*params.fidelity_range),
+                throughput=rng.uniform(*params.throughput_range),
+                resource_count=rng.randint(*params.resource_range),
+            )
+        )
+    return make_network(nodes, links)
+
+
 # -- assignment instance sampling ---------------------------------------------
 
 
@@ -430,3 +471,35 @@ def brute_force_colorable(vertices, edges, colors: int) -> bool:
         if all(assignment[index[u]] != assignment[index[v]] for u, v in edges):
             return True
     return False
+
+
+# -- a small multi-user scenario -----------------------------------------------
+
+
+def greedy_scenario_payload() -> dict:
+    """An `etopo run` scenario file, as its parsed JSON, that exercises the
+    whole trial pipeline: 30 generated nodes and 90 links, 10 demands at
+    rates 1-4 and one failure of each kind. Every trial has far more
+    assignment variables than the branch-and-bound cap, so it is solved
+    greedily, and states run out so the greedy solver spills."""
+    rng = random.Random(3)
+    demands = []
+    for user in range(10):
+        source, target = rng.sample(range(30), 2)
+        demands.append({"user": user, "source": source, "target": target,
+                        "rate": rng.randint(4, 16) / 4})
+    failures = [
+        {"target": rng.randrange(90), "kind": kind,
+         "magnitude": rng.randint(1, 3) / 4, "time": rng.randrange(2)}
+        for kind in ("remove-link", "degrade-swap", "degrade-loss", "degrade-fidelity")
+    ]
+    return {
+        "seed": 3,
+        "trials": 2,
+        "generator": {"num_nodes": 30, "num_links": 90, "levels": [1, 2],
+                      "resource_range": [1, 2]},
+        "base_graph": {"k": 2, "n": 8},
+        "thresholds": {"default": 0.15, "levels": {"2": 0.25}},
+        "demands": demands,
+        "failures": failures,
+    }
