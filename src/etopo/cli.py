@@ -12,28 +12,30 @@ import argparse
 import csv
 import dataclasses
 import io as _io
-import json
 import logging
 import os
 import sys
 from pathlib import Path
 from typing import Optional
 
-from .adaption import PStarMode, adapt
+from .adaption import PStarMode, ThresholdPolicy, adapt
 from .assignment import SolveStatus, solve_exact, solve_greedy, validate_instance
 from .basegraph import map_overlay
 from .coloring import reduction_from_coloring
 from .errors import ConfigError, EtopoError, TooLargeError
 from .generate import GeneratorParams, generate_network
 from .io import (
+    PathLike,
+    _json_text,
     _load_json,
+    _write_file,
+    base_graph_from_dict,
     load_conflict_graph,
     load_instance,
     load_network,
     load_placement,
     save_instance,
     save_network,
-    save_solve_result,
     solve_result_to_dict,
     thresholds_from_dict,
 )
@@ -69,18 +71,26 @@ def _effective_seed(flag_seed: Optional[int], config_seed: Optional[int] = None)
     return 0
 
 
-def _write_text(text: str, out: Optional[str]) -> None:
+def _write_text(text: str, out: Optional[PathLike]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_file(text, out)
 
 
-def _dump(payload, out: Optional[str]) -> None:
-    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+def _dump(payload, out: Optional[PathLike]) -> None:
+    _write_text(_json_text(payload), out)
 
 
-def _load_thresholds(args) -> "ThresholdPolicy":
+def _dump_csv(rows: list[dict], columns: list[str], out: Optional[PathLike]) -> None:
+    buffer = _io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_text(buffer.getvalue(), out)
+
+
+def _load_thresholds(args) -> ThresholdPolicy:
     if args.thresholds is not None:
         return thresholds_from_dict(_load_json(args.thresholds))
     return thresholds_from_dict({"default": args.threshold})
@@ -98,11 +108,9 @@ def _cmd_generate(args) -> int:
 
 
 def _basegraph_from_args(network, args):
+    k, n, _, _ = base_graph_from_dict({"k": args.k, "n": args.n}, "base_graph")
     placement = load_placement(args.placement) if args.placement else None
-    return map_overlay(
-        network, args.k, args.n,
-        placement=placement, seed=_effective_seed(args.seed),
-    )
+    return map_overlay(network, k, n, placement=placement, seed=_effective_seed(args.seed))
 
 
 def _cmd_adapt(args) -> int:
@@ -123,15 +131,8 @@ def _cmd_adapt(args) -> int:
         _dump({"total": len(network.links), "retained": len(adapted.links),
                "links": rows}, args.out)
     else:
-        buffer = _io.StringIO()
-        writer = csv.DictWriter(
-            buffer, fieldnames=list(rows[0]) if rows else
-            ["link", "a", "b", "level", "probability", "retained", "p_star"],
-            lineterminator="\n",
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-        _write_text(buffer.getvalue(), args.out)
+        _dump_csv(rows, ["link", "a", "b", "level", "probability", "retained", "p_star"],
+                  args.out)
     return EXIT_OK
 
 
@@ -172,10 +173,7 @@ def _cmd_assign(args) -> int:
             result = solve_exact(instance)
         except TooLargeError:
             result = solve_greedy(instance)
-    if args.out is not None:
-        save_solve_result(result, args.out)
-    else:
-        _dump(solve_result_to_dict(result), None)
+    _dump(solve_result_to_dict(result), args.out)
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
@@ -188,12 +186,12 @@ def _cmd_run(args) -> int:
     scenario = scenario_from_dict(data, base_dir=Path(args.scenario).parent)
     records = run_scenario(scenario)
     out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.csv").write_text(records_to_csv(records), encoding="utf-8")
-    solutions = records_to_solutions(scenario, records)
-    (out_dir / "solutions.json").write_text(
-        json.dumps(solutions, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir}: {exc}") from exc
+    _write_text(records_to_csv(records), out_dir / "metrics.csv")
+    _dump(records_to_solutions(scenario, records), out_dir / "solutions.json")
     feasible = [r for r in records if r.assign_status is SolveStatus.FEASIBLE]
     if records and any(r.assign_status is not None for r in records) and not feasible:
         return EXIT_INFEASIBLE
@@ -202,9 +200,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_reduce_coloring(args) -> int:
     graph = load_conflict_graph(args.graph)
-    instance = reduction_from_coloring(graph, args.colors)
-    from .adaption import ThresholdPolicy
-
+    try:
+        instance = reduction_from_coloring(graph, args.colors)
+    except ValueError as exc:
+        raise ConfigError(f"--colors: {exc}") from exc
     save_instance(instance, ThresholdPolicy(default=0.0), args.out)
     return EXIT_OK
 
@@ -218,17 +217,13 @@ def _cmd_bench_routing(args) -> int:
         ) from None
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    rows = bench_routing(sizes, args.trials, _effective_seed(args.seed))
+    rows = [dataclasses.asdict(r) | {"normalized": r.normalized}
+            for r in bench_routing(sizes, args.trials, _effective_seed(args.seed))]
     if args.format == "json":
-        _dump([dataclasses.asdict(r) | {"normalized": r.normalized} for r in rows],
-              args.out)
+        _dump(rows, args.out)
     else:
-        buffer = _io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["n", "trials", "mean_steps", "log2n_squared", "normalized"])
-        for r in rows:
-            writer.writerow([r.n, r.trials, r.mean_steps, r.log2n_squared, r.normalized])
-        _write_text(buffer.getvalue(), args.out)
+        _dump_csv(rows, ["n", "trials", "mean_steps", "log2n_squared", "normalized"],
+                  args.out)
     return EXIT_OK
 
 
@@ -315,9 +310,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except EtopoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,4 +1,4 @@
-"""JSON serialization of networks, placements, instances, and solutions.
+"""JSON serialization of every file block, with one reader and one writer each.
 
 Schemas are strict: missing or unknown fields raise ConfigError with the
 offending field path so configuration mistakes surface immediately.
@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
 from .adaption import PStarMode, ThresholdPolicy, adapt
 from .assignment import (
     AssignmentInstance,
+    AssignmentSolution,
     Demand,
     InterferenceSet,
     ResourceSet,
@@ -22,6 +24,7 @@ from .assignment import (
 from .basegraph import map_overlay
 from .coloring import ConflictGraph, make_conflict_graph
 from .errors import ConfigError
+from .generate import GeneratorParams
 from .overlay import (
     EntangledLink,
     FailureEvent,
@@ -36,6 +39,7 @@ _LINK_FIELDS = (
     "id", "a", "b", "level", "swap_success", "photon_loss", "fidelity",
     "throughput", "resource_count",
 )
+_LINK_INTEGERS = ("id", "a", "b", "level", "resource_count")
 
 
 def _require(record: Mapping[str, Any], fields: tuple[str, ...], context: str,
@@ -79,10 +83,22 @@ def _list(value: Any, context: str) -> list:
     return value
 
 
-def _base_graph_shape(record: Mapping[str, Any], context: str) -> tuple[int, int]:
-    """The (k, n) of a base_graph record; map_overlay needs k >= 1, n >= 2."""
-    return (_integer(record["k"], context, "k", minimum=1),
-            _integer(record["n"], context, "n", minimum=2))
+def _integer_list(value: Any, context: str, key: Union[str, int]) -> list:
+    if type(value) is not list or any(type(v) is not int for v in value):
+        raise ConfigError(f"{_path(context, key)}: expected a list of integers, got {value!r}")
+    return value
+
+
+def _integer_pairs(value: Any, context: str, key: Union[str, int]) -> tuple:
+    """value, a list of [int, int] lists, as a tuple of pairs."""
+    if type(value) is not list or any(
+        type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int
+        for p in value
+    ):
+        raise ConfigError(
+            f"{_path(context, key)}: expected a list of integer pairs, got {value!r}"
+        )
+    return tuple((u, v) for u, v in value)
 
 
 def _load_json(path: PathLike) -> Any:
@@ -92,12 +108,20 @@ def _load_json(path: PathLike) -> Any:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _dump_json(payload: Any, path: PathLike) -> None:
+def _json_text(payload: Any) -> str:
+    """The one JSON layout of every file and stdout document written."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_file(text: str, path: PathLike) -> None:
     # No O_TRUNC: on ext4 a truncate at open is a journalled inode update
     # even for an empty file, slower and far less steady than the write.
     # The file is cut to length only when it held more than the payload.
-    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    data = text.encode("utf-8")
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     try:
         view = memoryview(data)
         while view:
@@ -128,16 +152,20 @@ def network_from_dict(data: Mapping[str, Any]) -> OverlayNetwork:
     nodes = frozenset(data["nodes"])
     links = []
     for i, record in enumerate(_list(data["links"], "network.links")):
-        _require(record, _LINK_FIELDS, f"network.links[{i}]")
+        where = f"network.links[{i}]"
+        _require(record, _LINK_FIELDS, where)
+        # One chain tests all five integer fields; the loop only names the bad one.
+        if not (type(record["id"]) is type(record["a"]) is type(record["b"])
+                is type(record["level"]) is type(record["resource_count"]) is int):
+            for key in _LINK_INTEGERS:
+                _integer(record[key], where, key)
         try:
             link = EntangledLink(**record)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"network.links[{i}]: {exc}") from exc
+            raise ConfigError(f"{where}: {exc}") from exc
         for endpoint in link.endpoints:
             if endpoint not in nodes:
-                raise ConfigError(
-                    f"network.links[{i}]: endpoint {endpoint} is not in network.nodes"
-                )
+                raise ConfigError(f"{where}: endpoint {endpoint} is not in network.nodes")
         links.append(link)
     return make_network(nodes, links)
 
@@ -146,11 +174,22 @@ def load_network(path: PathLike) -> OverlayNetwork:
     return network_from_dict(_load_json(path))
 
 
+def network_file_from_dict(data: Mapping[str, Any], context: str,
+                           base_dir: Optional[Path]) -> Optional[str]:
+    """data's network_file, resolved against base_dir; None when absent."""
+    if "network_file" not in data:
+        return None
+    ref = data["network_file"]
+    if type(ref) is not str:
+        raise ConfigError(f"{context}.network_file: expected a string, got {ref!r}")
+    return ref if base_dir is None or Path(ref).is_absolute() else str(base_dir / ref)
+
+
 def save_network(network: OverlayNetwork, path: PathLike) -> None:
-    _dump_json(network_to_dict(network), path)
+    _write_file(_json_text(network_to_dict(network)), path)
 
 
-# -- placement ---------------------------------------------------------------
+# -- base graph and placement -----------------------------------------------
 
 def placement_from_list(data: Any) -> dict[int, tuple[int, ...]]:
     placement: dict[int, tuple[int, ...]] = {}
@@ -159,16 +198,40 @@ def placement_from_list(data: Any) -> dict[int, tuple[int, ...]]:
         node, coords = record["node"], record["coords"]
         if type(node) is not int:  # bool is an int subclass, and no node id
             raise ConfigError(f"placement[{i}].node: expected an integer, got {node!r}")
-        if not isinstance(coords, list) or any(type(c) is not int for c in coords):
-            raise ConfigError(
-                f"placement[{i}].coords: expected a list of integers, got {coords!r}"
-            )
+        if type(coords) is not list or any(type(c) is not int for c in coords):
+            _integer_list(coords, f"placement[{i}]", "coords")
         placement[node] = tuple(coords)
     return placement
 
 
 def load_placement(path: PathLike) -> dict[int, tuple[int, ...]]:
     return placement_from_list(_load_json(path))
+
+
+def base_graph_from_dict(
+    data: Mapping[str, Any], context: str, seeded: bool = True
+) -> tuple[int, int, Optional[dict[int, tuple[int, ...]]], Optional[int]]:
+    """The k, n, placement and seed (None when absent) of a base_graph
+    record; map_overlay needs k >= 1, n >= 2. Only a seeded record has a seed."""
+    _require(data, ("k", "n"), context,
+             optional=("placement", "seed") if seeded else ("placement",))
+    return (
+        _integer(data["k"], context, "k", minimum=1),
+        _integer(data["n"], context, "n", minimum=2),
+        placement_from_list(data["placement"]) if "placement" in data else None,
+        _integer(data["seed"], context, "seed") if "seed" in data else None,
+    )
+
+
+def base_graph_to_dict(k: int, n: int,
+                       placement: Optional[Mapping[int, tuple[int, ...]]]) -> dict:
+    data: dict[str, Any] = {"k": k, "n": n}
+    if placement is not None:
+        data["placement"] = [
+            {"node": node, "coords": list(coords)}
+            for node, coords in sorted(placement.items())
+        ]
+    return data
 
 
 # -- thresholds --------------------------------------------------------------
@@ -195,7 +258,31 @@ def thresholds_to_dict(policy: ThresholdPolicy) -> dict:
     }
 
 
-# -- failures and demands ----------------------------------------------------
+def pstar_mode_from_dict(data: Mapping[str, Any], context: str) -> PStarMode:
+    try:
+        return PStarMode(data.get("pstar_mode", "measured"))
+    except ValueError as exc:
+        raise ConfigError(f"{context}.pstar_mode: {exc}") from exc
+
+
+# -- generator, failures and demands -----------------------------------------
+
+def generator_from_dict(data: Mapping[str, Any], context: str) -> GeneratorParams:
+    _require(data, (), context, optional=tuple(f.name for f in fields(GeneratorParams)))
+    try:
+        return GeneratorParams(**{
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in data.items()
+        })
+    except ConfigError as exc:
+        # GeneratorParams names the field first: "swap_range: ...".
+        raise ConfigError(f"{context}.{exc}") from exc
+
+
+def generator_to_dict(params: GeneratorParams) -> dict:
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(params).items()}
+
 
 def failure_from_dict(data: Mapping[str, Any], context: str) -> FailureEvent:
     _require(data, ("target", "kind"), context, optional=("magnitude", "time"))
@@ -210,6 +297,11 @@ def failure_from_dict(data: Mapping[str, Any], context: str) -> FailureEvent:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
+def failure_to_dict(event: FailureEvent) -> dict:
+    return {"target": event.target, "kind": event.kind.value,
+            "magnitude": event.magnitude, "time": event.time}
+
+
 def demand_from_dict(data: Mapping[str, Any], context: str) -> Demand:
     _require(data, ("user", "source", "target"), context, optional=("rate",))
     try:
@@ -221,6 +313,12 @@ def demand_from_dict(data: Mapping[str, Any], context: str) -> Demand:
         )
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
+
+
+def demands_from_list(data: Any, context: str) -> tuple[Demand, ...]:
+    return tuple(
+        demand_from_dict(d, f"{context}[{i}]") for i, d in enumerate(_list(data, context))
+    )
 
 
 def demand_to_dict(demand: Demand) -> dict:
@@ -243,50 +341,45 @@ def instance_from_dict(
     )
     if ("network" in data) == ("network_file" in data):
         raise ConfigError("instance: provide exactly one of network, network_file")
-    if "network" in data:
-        network = network_from_dict(data["network"])
-    else:
-        ref = Path(data["network_file"])
-        if base_dir is not None and not ref.is_absolute():
-            ref = base_dir / ref
-        network = load_network(ref)
-
-    bg = data["base_graph"]
-    _require(bg, ("k", "n"), "instance.base_graph", optional=("placement", "seed"))
-    placement = placement_from_list(bg["placement"]) if "placement" in bg else None
-    k, n = _base_graph_shape(bg, "instance.base_graph")
-    graph = map_overlay(network, k, n, placement=placement, seed=bg.get("seed"))
-
+    network_file = network_file_from_dict(data, "instance", base_dir)
+    network = (network_from_dict(data["network"]) if network_file is None
+               else load_network(network_file))
+    k, n, placement, seed = base_graph_from_dict(data["base_graph"], "instance.base_graph")
+    graph = map_overlay(network, k, n, placement=placement, seed=seed)
     policy = thresholds_from_dict(data.get("thresholds", {}))
-    try:
-        mode = PStarMode(data.get("pstar_mode", "measured"))
-    except ValueError as exc:
-        raise ConfigError(f"instance.pstar_mode: {exc}") from exc
-    adapted = adapt(graph, network, policy, mode)
+    adapted = adapt(graph, network, policy, pstar_mode_from_dict(data, "instance"))
+    demands = demands_from_list(data["demands"], "instance.demands")
 
-    demands = tuple(
-        demand_from_dict(d, f"instance.demands[{i}]")
-        for i, d in enumerate(data["demands"])
-    )
+    # load_instance is on a timed path: records are checked inline, and a
+    # field path below the record is formatted only for its error.
     resource_sets = {}
-    for i, record in enumerate(data["resource_sets"]):
-        _require(record, ("link", "states"), f"instance.resource_sets[{i}]")
-        resource_sets[record["link"]] = ResourceSet(
-            link=record["link"], states=tuple(record["states"])
-        )
-    interference = []
-    for i, record in enumerate(data.get("interference", [])):
-        _require(record, ("link", "state", "competing"), f"instance.interference[{i}]")
+    for i, record in enumerate(_list(data["resource_sets"], "instance.resource_sets")):
+        where = f"instance.resource_sets[{i}]"
+        _require(record, ("link", "states"), where)
+        link, states = record["link"], record["states"]
+        if type(link) is not int:
+            _integer(link, where, "link")
+        if type(states) is not list or any(type(s) is not int for s in states):
+            _integer_list(states, where, "states")
         try:
-            interference.append(
-                InterferenceSet(
-                    link=record["link"],
-                    state=record["state"],
-                    competing=tuple((u, q) for u, q in record["competing"]),
-                )
-            )
+            resource_sets[link] = ResourceSet(link=link, states=tuple(states))
         except ValueError as exc:
-            raise ConfigError(f"instance.interference[{i}]: {exc}") from exc
+            raise ConfigError(f"{where}.states: {exc}") from exc
+    interference = []
+    for i, record in enumerate(_list(data.get("interference", []), "instance.interference")):
+        where = f"instance.interference[{i}]"
+        _require(record, ("link", "state", "competing"), where)
+        link, state = record["link"], record["state"]
+        if type(link) is not int or type(state) is not int:
+            _integer(link, where, "link")
+            _integer(state, where, "state")
+        try:
+            interference.append(InterferenceSet(
+                link=link, state=state,
+                competing=_integer_pairs(record["competing"], where, "competing"),
+            ))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     return AssignmentInstance(
         network=network,
         graph=graph,
@@ -305,14 +398,8 @@ def instance_to_dict(instance: AssignmentInstance, policy: ThresholdPolicy,
                      mode: PStarMode = PStarMode.MEASURED) -> dict:
     return {
         "network": network_to_dict(instance.network),
-        "base_graph": {
-            "k": instance.graph.k,
-            "n": instance.graph.n,
-            "placement": [
-                {"node": node, "coords": list(coords)}
-                for node, coords in sorted(instance.graph.placement.items())
-            ],
-        },
+        "base_graph": base_graph_to_dict(
+            instance.graph.k, instance.graph.n, instance.graph.placement),
         "thresholds": thresholds_to_dict(policy),
         "pstar_mode": mode.value,
         "demands": [demand_to_dict(d) for d in instance.demands],
@@ -330,24 +417,30 @@ def instance_to_dict(instance: AssignmentInstance, policy: ThresholdPolicy,
 
 def save_instance(instance: AssignmentInstance, policy: ThresholdPolicy,
                   path: PathLike, mode: PStarMode = PStarMode.MEASURED) -> None:
-    _dump_json(instance_to_dict(instance, policy, mode), path)
+    _write_file(_json_text(instance_to_dict(instance, policy, mode)), path)
 
 
 # -- solutions ---------------------------------------------------------------
+
+def solution_to_dict(solution: AssignmentSolution) -> dict:
+    return {
+        "C": [list(t) for t in sorted(solution.C)],
+        "K": [[u, q, list(ref)] for u, q, ref in sorted(solution.K)],
+    }
+
 
 def solve_result_to_dict(result: SolveResult) -> dict:
     return {
         "status": result.status.value,
         "objective": result.objective,
-        "C": [list(t) for t in sorted(result.solution.C)],
-        "K": [[u, q, list(ref)] for u, q, ref in sorted(result.solution.K)],
+        **solution_to_dict(result.solution),
         "served": list(result.served),
         "rejected": list(result.rejected),
     }
 
 
 def save_solve_result(result: SolveResult, path: PathLike) -> None:
-    _dump_json(solve_result_to_dict(result), path)
+    _write_file(_json_text(solve_result_to_dict(result)), path)
 
 
 # -- conflict graphs ----------------------------------------------------------
@@ -356,9 +449,9 @@ def conflict_graph_from_dict(data: Mapping[str, Any]) -> ConflictGraph:
     _require(data, ("vertices", "edges"), "graph", optional=("k_star",))
     try:
         return make_conflict_graph(
-            data["vertices"],
-            [(u, v) for u, v in data["edges"]],
-            k_star=data.get("k_star"),
+            _integer_list(data["vertices"], "graph", "vertices"),
+            _integer_pairs(data["edges"], "graph", "edges"),
+            k_star=_integer(data["k_star"], "graph", "k_star") if "k_star" in data else None,
         )
     except ValueError as exc:
         raise ConfigError(f"graph: {exc}") from exc

@@ -15,7 +15,7 @@ import io as _io
 import math
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
@@ -41,16 +41,23 @@ from .generate import (
     kleinberg_lattice,
 )
 from .io import (
-    _base_graph_shape,
     _integer,
     _list,
     _require,
-    demand_from_dict,
+    base_graph_from_dict,
+    base_graph_to_dict,
     demand_to_dict,
+    demands_from_list,
     failure_from_dict,
+    failure_to_dict,
+    generator_from_dict,
+    generator_to_dict,
     load_network,
+    network_file_from_dict,
     network_from_dict,
     network_to_dict,
+    pstar_mode_from_dict,
+    solution_to_dict,
     thresholds_from_dict,
     thresholds_to_dict,
 )
@@ -105,53 +112,21 @@ def scenario_from_dict(data: Mapping[str, Any], base_dir: Optional[Path] = None)
         optional=("network", "network_file", "generator", "thresholds",
                   "pstar_mode", "failures"),
     )
-    bg = data["base_graph"]
-    _require(bg, ("k", "n"), "scenario.base_graph", optional=("placement",))
-    k, n = _base_graph_shape(bg, "scenario.base_graph")
-    placement = None
-    if "placement" in bg:
-        from .io import placement_from_list
-
-        placement = placement_from_list(bg["placement"])
-    generator = None
-    if "generator" in data:
-        gen = data["generator"]
-        _require(gen, (), "scenario.generator",
-                 optional=tuple(f.name for f in fields(GeneratorParams)))
-        try:
-            generator = GeneratorParams(**{
-                key: tuple(value) if isinstance(value, list) else value
-                for key, value in gen.items()
-            })
-        except ConfigError as exc:
-            # GeneratorParams names the field first: "swap_range: ...".
-            raise ConfigError(f"scenario.generator.{exc}") from exc
-    network_inline = network_from_dict(data["network"]) if "network" in data else None
-    network_file = data.get("network_file")
-    if network_file is not None and not isinstance(network_file, str):
-        raise ConfigError(f"scenario.network_file: expected a string, got {network_file!r}")
-    if network_file is not None and base_dir is not None:
-        ref = Path(network_file)
-        network_file = str(ref if ref.is_absolute() else base_dir / ref)
-    try:
-        mode = PStarMode(data.get("pstar_mode", "measured"))
-    except ValueError as exc:
-        raise ConfigError(f"scenario.pstar_mode: {exc}") from exc
+    k, n, placement, _ = base_graph_from_dict(
+        data["base_graph"], "scenario.base_graph", seeded=False)
     return Scenario(
         seed=_integer(data["seed"], "scenario", "seed"),
         trials=_integer(data["trials"], "scenario", "trials", minimum=1),
-        network_file=network_file,
-        network_inline=network_inline,
-        generator=generator,
+        network_file=network_file_from_dict(data, "scenario", base_dir),
+        network_inline=network_from_dict(data["network"]) if "network" in data else None,
+        generator=(generator_from_dict(data["generator"], "scenario.generator")
+                   if "generator" in data else None),
         k=k,
         n=n,
         placement=placement,
         thresholds=thresholds_from_dict(data.get("thresholds", {})),
-        pstar_mode=mode,
-        demands=tuple(
-            demand_from_dict(d, f"scenario.demands[{i}]")
-            for i, d in enumerate(_list(data["demands"], "scenario.demands"))
-        ),
+        pstar_mode=pstar_mode_from_dict(data, "scenario"),
+        demands=demands_from_list(data["demands"], "scenario.demands"),
         failures=tuple(
             failure_from_dict(f, f"scenario.failures[{i}]")
             for i, f in enumerate(_list(data.get("failures", []), "scenario.failures"))
@@ -163,35 +138,18 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     data: dict[str, Any] = {
         "seed": scenario.seed,
         "trials": scenario.trials,
-        "base_graph": {"k": scenario.k, "n": scenario.n},
+        "base_graph": base_graph_to_dict(scenario.k, scenario.n, scenario.placement),
         "thresholds": thresholds_to_dict(scenario.thresholds),
         "pstar_mode": scenario.pstar_mode.value,
         "demands": [demand_to_dict(d) for d in scenario.demands],
-        "failures": [
-            {"target": f.target, "kind": f.kind.value,
-             "magnitude": f.magnitude, "time": f.time}
-            for f in scenario.failures
-        ],
+        "failures": [failure_to_dict(f) for f in scenario.failures],
     }
-    if scenario.placement is not None:
-        data["base_graph"]["placement"] = [
-            {"node": node, "coords": list(coords)}
-            for node, coords in sorted(scenario.placement.items())
-        ]
     if scenario.network_file is not None:
         data["network_file"] = scenario.network_file
     if scenario.network_inline is not None:
         data["network"] = network_to_dict(scenario.network_inline)
     if scenario.generator is not None:
-        gen = scenario.generator
-        data["generator"] = {
-            "num_nodes": gen.num_nodes, "num_links": gen.num_links,
-            "levels": list(gen.levels),
-            "swap_range": list(gen.swap_range), "loss_range": list(gen.loss_range),
-            "fidelity_range": list(gen.fidelity_range),
-            "throughput_range": list(gen.throughput_range),
-            "resource_range": list(gen.resource_range),
-        }
+        data["generator"] = generator_to_dict(scenario.generator)
     return data
 
 
@@ -420,8 +378,7 @@ def records_to_solutions(scenario: Scenario, records: list[MetricsRecord]) -> di
             ],
         }
         if rec.result is not None:
-            entry["C"] = [list(t) for t in sorted(rec.result.solution.C)]
-            entry["K"] = [[u, q, list(ref)] for u, q, ref in sorted(rec.result.solution.K)]
+            entry.update(solution_to_dict(rec.result.solution))
         trials.append(entry)
     return {"seed": scenario.seed, "trials": trials}
 

@@ -137,6 +137,44 @@ class TestRoute:
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("id", [0]),            # was an internal error: unhashable type
+        ("a", {}),
+        ("b", [1]),
+        ("id", True),
+        ("level", "2"),
+        ("resource_count", 1.5),
+    ], ids=repr)
+    def test_non_integer_link_field(self, line_file, tmp_path, capsys, key, value):
+        payload = json.loads(line_file.read_text())
+        payload["links"][1][key] = value
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(payload))
+        code = main(["route", str(path), "--k", "1", "--n", "4",
+                     "--source", "0", "--target", "3"])
+        assert code == EXIT_CONFIG
+        assert f"error: network.links[1].{key}: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["route", "adapt"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k", "0", "base_graph.k: must be >= 1, got 0"),
+        ("--n", "1", "base_graph.n: must be >= 2, got 1"),
+    ])
+    def test_bad_shape_flag(self, line_file, capsys, command, flag, value, message):
+        # was an internal error from map_overlay's ValueError
+        args = [command, str(line_file), "--k", "1", "--n", "4", flag, value]
+        if command == "route":
+            args += ["--source", "0", "--target", "3"]
+        assert main(args) == EXIT_CONFIG
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_unwritable_out(self, line_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "route.json"
+        code = main(["route", str(line_file), "--k", "1", "--n", "4", "--seed", "0",
+                     "--source", "0", "--target", "3", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert str(out) in capsys.readouterr().err
+
     def test_links_not_a_list(self, line_file, tmp_path, capsys):
         payload = json.loads(line_file.read_text())
         payload["links"] = {str(link["id"]): link for link in payload["links"]}
@@ -210,12 +248,54 @@ class TestAssign:
         assert payload["served"] == [0]
         assert len(payload["C"]) == 3
 
-    def test_solver_choice_and_out_file(self, instance_file, tmp_path):
+    def test_solver_choice_and_out_file(self, instance_file, tmp_path, capsys):
         out = tmp_path / "result.json"
         for solver in ("exact", "greedy"):
             assert main(["assign", str(instance_file), "--solver", solver,
                          "--out", str(out)]) == EXIT_OK
             assert json.loads(out.read_text())["status"] == "feasible"
+            assert main(["assign", str(instance_file), "--solver", solver]) == EXIT_OK
+            assert capsys.readouterr().out == out.read_text()
+
+    @pytest.mark.parametrize("field, value, message", [
+        # each was an internal error
+        (("demands",), 3, "expected a list"),
+        (("resource_sets",), 3, "expected a list"),
+        (("interference",), {}, "expected a list"),
+        (("resource_sets", 0, "states"), 3, "expected a list of integers"),
+        (("resource_sets", 0, "states"), [[0]], "expected a list of integers"),
+        (("resource_sets", 0, "states"), [0, 0], "resource set of link 0 has duplicate"),
+        (("resource_sets", 0, "link"), [0], "expected an integer"),
+        (("interference", 0, "link"), {}, "expected an integer"),
+        (("interference", 0, "competing"), 3, "expected a list of integer pairs"),
+        (("interference", 0, "competing"), [[0, 0], 1], "expected a list of integer pairs"),
+        (("base_graph", "seed"), [1], "expected an integer"),
+        (("network_file",), 5, "expected a string"),
+        # each was accepted
+        (("resource_sets", 0, "states"), "a", "expected a list of integers"),
+        (("resource_sets", 0, "link"), True, "expected an integer"),
+        (("interference", 0, "state"), "0", "expected an integer"),
+        (("interference", 0, "competing"), [[0, 0], [1, True]],
+         "expected a list of integer pairs"),
+        (("base_graph", "seed"), "x", "expected an integer"),
+    ], ids=repr)
+    def test_malformed_field_names_its_path(self, instance_file, tmp_path, capsys,
+                                            field, value, message):
+        payload = json.loads(instance_file.read_text())
+        payload["base_graph"]["seed"] = 3
+        payload["demands"].append({"user": 1, "source": 0, "target": 3, "rate": 1.0})
+        payload["interference"] = [{"link": 0, "state": 0, "competing": [[0, 0], [1, 1]]}]
+        record = payload
+        for key in field[:-1]:
+            record = record[key]
+        record[field[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["assign", str(path)]) == EXIT_CONFIG
+        where = "instance" + "".join(
+            f"[{key}]" if isinstance(key, int) else f".{key}" for key in field
+        )
+        assert f"error: {where}: {message}" in capsys.readouterr().err
 
     def test_bad_pstar_mode(self, instance_file, tmp_path, capsys):
         payload = json.loads(instance_file.read_text())
@@ -275,6 +355,12 @@ class TestRun:
         assert main(["run", str(path), "--seed", "3"]) == EXIT_CONFIG
         assert "scenario: expected an object" in capsys.readouterr().err
 
+    def test_out_is_a_file(self, tmp_path, line_file, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(self.scenario_payload()))
+        assert main(["run", str(path), "--out", str(line_file)]) == EXIT_CONFIG
+        assert f"--out {line_file}: " in capsys.readouterr().err
+
     def test_all_trials_infeasible(self, tmp_path, line_file):
         payload = self.scenario_payload()
         payload["thresholds"] = {"default": 0.9}
@@ -310,6 +396,7 @@ class TestRun:
         (("failures", 0, "target"), True),
         (("failures", 0, "magnitude"), True),
         (("demands",), {}),
+        (("network_file",), 5),
         (("generator", "swap_range"), [0.5, 2.0]),
         (("generator", "swap_range"), [0.5, 0.75, 1.0]),
         (("generator", "swap_range"), [True, 1.0]),
@@ -332,6 +419,8 @@ class TestRun:
             "failures": [{"target": 1, "kind": "degrade-swap", "magnitude": 0.5,
                           "time": 0}],
         }
+        if field == ("network_file",):
+            del payload["generator"]
         record = payload
         for key in field[:-1]:
             record = record[key]
@@ -360,6 +449,26 @@ class TestReduceColoring:
                      "--out", str(inst)]) == EXIT_OK
         assert main(["assign", str(inst), "--out",
                      str(tmp_path / "r.json")]) == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("graph, colors, message", [
+        # each was an internal error
+        ({"vertices": 3, "edges": []}, 2, "graph.vertices: expected a list of integers"),
+        ({"vertices": [0, "b"], "edges": []}, 2,
+         "graph.vertices: expected a list of integers"),
+        ({"vertices": [0, 1], "edges": [0, 1]}, 2,
+         "graph.edges: expected a list of integer pairs"),
+        ({"vertices": [0, 1], "edges": 5}, 2, "graph.edges: expected a list of integer pairs"),
+        ({"vertices": [0, 1], "edges": [[0, 1]]}, 0, "--colors: "),
+        # was accepted
+        ({"vertices": [0, 1], "edges": [], "k_star": "x"}, 2,
+         "graph.k_star: expected an integer"),
+    ], ids=repr)
+    def test_bad_input_is_a_config_error(self, tmp_path, capsys, graph, colors, message):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        assert main(["reduce-coloring", str(path), "--colors", str(colors),
+                     "--out", str(tmp_path / "inst.json")]) == EXIT_CONFIG
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestBenchRouting:

@@ -1,0 +1,147 @@
+"""Exit-code sweep over one-field mutations of valid input files.
+
+Each value of a valid file, at any depth and the whole document too, is
+replaced in turn by each of null, true, "x", 1.5, -1, [] and {}, and each
+value is also deleted. The CLI must answer every mutated file with exit
+0, 1 or 2: exit 3 is kept for bugs in the program, not for bad input.
+"""
+
+import copy
+import json
+
+import pytest
+
+from etopo.cli import EXIT_INTERNAL, main
+
+MUTANTS = (None, True, "x", 1.5, -1, [], {})
+DELETE = object()
+
+
+def _link(lid, a, b, level=1, resources=1):
+    return {"id": lid, "a": a, "b": b, "level": level, "swap_success": 0.75,
+            "photon_loss": 0.0, "fidelity": 1.0, "throughput": 4.0,
+            "resource_count": resources}
+
+
+NETWORK = {"nodes": [0, 1, 2],
+           "links": [_link(0, 0, 1, resources=2), _link(1, 1, 2, level=2)]}
+PLACEMENT = [{"node": i, "coords": [i]} for i in range(3)]
+THRESHOLDS = {"default": 0.1, "levels": {"1": 0.2, "2": 0.3}}
+DEMANDS = [{"user": 0, "source": 0, "target": 2, "rate": 1.0},
+           {"user": 1, "source": 0, "target": 1, "rate": 0.5}]
+FAILURES = [{"target": 1, "kind": "degrade-swap", "magnitude": 0.5, "time": 0},
+            {"target": 0, "kind": "remove-link", "time": 1}]
+
+FILES = {
+    "network": NETWORK,
+    "placement": PLACEMENT,
+    "thresholds": THRESHOLDS,
+    "scenario-inline": {
+        "seed": 5, "trials": 2, "network": NETWORK,
+        "base_graph": {"k": 1, "n": 4, "placement": PLACEMENT},
+        "thresholds": THRESHOLDS, "pstar_mode": "measured",
+        "demands": DEMANDS, "failures": FAILURES,
+    },
+    "scenario-generator": {
+        "seed": 5, "trials": 1,
+        "generator": {"num_nodes": 4, "num_links": 4, "levels": [1, 2],
+                      "swap_range": [0.5, 1.0], "loss_range": [0.0, 0.5],
+                      "fidelity_range": [0.5, 1.0], "throughput_range": [1.0, 4.0],
+                      "resource_range": [1, 2]},
+        "base_graph": {"k": 2, "n": 3},
+        "demands": [{"user": 0, "source": 0, "target": 3, "rate": 1.0}],
+        "failures": [FAILURES[0]],
+    },
+    "instance": {
+        "network": NETWORK,
+        "base_graph": {"k": 1, "n": 4, "seed": 3},
+        "thresholds": THRESHOLDS, "pstar_mode": "measured",
+        "demands": DEMANDS,
+        "resource_sets": [{"link": 0, "states": [0, 1]}, {"link": 1, "states": [0]}],
+        "interference": [{"link": 0, "state": 0, "competing": [[0, 0], [1, 1]]}],
+    },
+    "graph": {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]], "k_star": 2},
+}
+
+
+def _command(kind, path, tmp_path):
+    """The CLI call that reads a file of this kind from path."""
+    out = str(tmp_path / "out")
+    if kind == "network":
+        return ["route", path, "--k", "1", "--n", "4", "--source", "0",
+                "--target", "2", "--seed", "1", "--out", out]
+    if kind == "placement":
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(NETWORK))
+        return ["route", str(network), "--k", "1", "--n", "4", "--placement", path,
+                "--source", "0", "--target", "2", "--out", out]
+    if kind == "thresholds":
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(NETWORK))
+        return ["adapt", str(network), "--k", "1", "--n", "4", "--seed", "1",
+                "--thresholds", path, "--out", out]
+    if kind.startswith("scenario"):
+        return ["run", path, "--out", out]
+    if kind == "instance":
+        return ["assign", path, "--out", out]
+    return ["reduce-coloring", path, "--colors", "2", "--out", out]
+
+
+def _value_paths(value, prefix=()):
+    """The key path of every value nested in value, depth first."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _value_paths(child, prefix + (key,))
+
+
+def _mutations(data):
+    """(label, mutated document) for every one-field mutation of data."""
+    for new in MUTANTS:
+        yield f"<root> = {new!r}", new
+    for path in _value_paths(data):
+        for new in (*MUTANTS, DELETE):
+            doc = copy.deepcopy(data)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if new is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = new
+            label = "delete" if new is DELETE else f"= {new!r}"
+            yield f"{list(path)} {label}", doc
+
+
+@pytest.fixture(autouse=True)
+def clear_seed_env(monkeypatch):
+    monkeypatch.delenv("ETOPO_SEED", raising=False)
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_valid_file_exits_ok(kind, tmp_path):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(FILES[kind]))
+    assert main(_command(kind, str(path), tmp_path)) in (0, 2)
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_no_mutated_file_exits_internal(kind, tmp_path, capsys):
+    path = tmp_path / f"{kind}.json"
+    argv = _command(kind, str(path), tmp_path)
+    internal = []
+    for label, doc in _mutations(FILES[kind]):
+        path.write_text(json.dumps(doc))
+        code = main(argv)
+        if code not in (0, 1, 2):
+            err = capsys.readouterr().err.strip().splitlines()
+            internal.append(f"{label}: exit {code}: {err[-1] if err else ''}")
+        else:
+            capsys.readouterr()
+    assert not internal, f"{len(internal)} mutations of {kind} exited " \
+                         f"{EXIT_INTERNAL} or worse:\n" + "\n".join(internal)

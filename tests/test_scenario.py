@@ -91,6 +91,13 @@ class TestScenarioSerialization:
         )
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
+    def test_base_graph_takes_no_seed(self):
+        # placements are seeded per trial from the scenario seed
+        data = scenario_to_dict(line_scenario())
+        data["base_graph"]["seed"] = 3
+        with pytest.raises(ConfigError, match=r"scenario.base_graph: unknown fields \['seed'\]"):
+            scenario_from_dict(data)
+
     def test_bad_pstar_mode(self):
         data = scenario_to_dict(line_scenario())
         data["pstar_mode"] = "optimistic"
