@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
-from typing import KeysView, Mapping
+from typing import Iterable, KeysView, Mapping
 
 from .basegraph import BaseGraph, best_link
 from .errors import NotConnectedError
-from .overlay import LinkId, NodeId, OverlayNetwork, link_existence_probability
+from .overlay import EntangledLink, LinkId, NodeId, OverlayNetwork
 
 
 class PStarMode(str, Enum):
@@ -90,15 +90,25 @@ class AdaptedLinkSet:
         return self.adjacency
 
 
-def _link_update(
-    link, policy: ThresholdPolicy, mode: PStarMode
-) -> tuple[bool, float]:
-    """Whether link meets its level threshold, and its updated probability."""
-    pr = link_existence_probability(link)
-    threshold = policy.threshold_for(link.level)
-    if pr < threshold:
-        return False, 0.0
-    return True, pr if mode is PStarMode.MEASURED else threshold
+def _p_star(
+    links: Iterable[EntangledLink], policy: ThresholdPolicy, mode: PStarMode
+) -> dict[LinkId, float]:
+    """The threshold rule: the updated probability of each link of links that
+    meets its level's threshold, by link id. A link below threshold updates
+    to zero and is left out; a retained link keeps its existence probability
+    under MEASURED and takes the threshold under THRESHOLD."""
+    per_level = policy.per_level
+    default = policy.default
+    measured = mode is PStarMode.MEASURED
+    retained: dict[LinkId, float] = {}
+    for link in links:
+        # link_existence_probability and policy.threshold_for, inlined: this
+        # loop runs once per link of the overlay.
+        pr = link.swap_success * (1.0 - link.photon_loss) * link.fidelity
+        threshold = per_level.get(link.level, default)
+        if not pr < threshold:
+            retained[link.id] = pr if measured else threshold
+    return retained
 
 
 def updated_probability(
@@ -120,7 +130,8 @@ def updated_probability(
     if not links:
         raise NotConnectedError(f"no entangled link between nodes {x} and {y}")
     best_link(network, x, y)  # raises consistently when the pair is unmapped
-    return max(_link_update(l, policy, mode)[1] for l in links)
+    p_star = _p_star(links, policy, mode)
+    return max(p_star.get(l.id, 0.0) for l in links)
 
 
 def _retained_adjacency(
@@ -148,11 +159,7 @@ def adapt(
 ) -> AdaptedLinkSet:
     """Filter every link against its level threshold, for all contacts of all
     nodes, and index the survivors by node of graph for routing."""
-    retained: dict[LinkId, float] = {}
-    for link in network.links:
-        meets, p_star = _link_update(link, policy, mode)
-        if meets:
-            retained[link.id] = p_star
+    retained = _p_star(network.links, policy, mode)
     return AdaptedLinkSet(
         p_star_by_link=retained, graph=graph,
         adjacency=_retained_adjacency(graph, retained),

@@ -43,7 +43,8 @@ BNB_VARIABLE_CAP = 40
 
 @dataclass(frozen=True, slots=True)
 class Demand:
-    """One user's request for end-to-end entanglement at a given rate."""
+    """One user's request for end-to-end entanglement at a given rate, a
+    finite number >= 0."""
 
     user: UserId
     source: NodeId
@@ -55,6 +56,8 @@ class Demand:
             raise ValueError("demand source and target must differ")
         if self.rate < 0:
             raise ValueError(f"demand rate must be >= 0, got {self.rate}")
+        if not self.rate < math.inf:  # NaN fails this comparison too
+            raise ValueError(f"demand rate must be finite, got {self.rate}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,7 +9,9 @@ total equals the overlay link existence probability.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -107,39 +109,71 @@ def map_overlay(
         )
     placed: dict[NodeId, LatticeCoord]
     if placement is not None:
-        placed = {}
-        used: dict[LatticeCoord, NodeId] = {}
-        for node in nodes:
-            if node not in placement:
-                raise PlacementError(f"placement missing node {node}")
-            coord = tuple(placement[node])
-            if len(coord) != k:
-                raise PlacementError(
-                    f"node {node}: coordinate {coord} has dimension {len(coord)}, expected {k}"
-                )
-            if any(not 0 <= c < n for c in coord):
-                raise PlacementError(f"node {node}: coordinate {coord} outside [0, {n})")
-            if coord in used:
-                raise PlacementError(
-                    f"nodes {used[coord]} and {node} collide at {coord}"
-                )
-            used[coord] = node
-            placed[node] = coord
+        placed = _checked_placement(nodes, placement, k, n)
     else:
         rng = random.Random(seed)
         cells = rng.sample(range(capacity), len(nodes))
         placed = {node: _unrank(cell, k, n) for node, cell in zip(nodes, cells)}
 
-    contacts: dict[NodeId, list[tuple[NodeId, LinkId]]] = {}
+    rows: defaultdict[NodeId, list[tuple[NodeId, LinkId]]] = defaultdict(list)
     for link in network.links:
-        contacts.setdefault(link.a, []).append((link.b, link.id))
-        contacts.setdefault(link.b, []).append((link.a, link.id))
+        a, b, link_id = link.a, link.b, link.id
+        rows[a].append((b, link_id))
+        rows[b].append((a, link_id))
+    for row in rows.values():
+        row.sort()
     return BaseGraph(
         k=k,
         n=n,
         placement=placed,
-        contacts={node: tuple(sorted(cs)) for node, cs in contacts.items()},
+        contacts=dict(zip(rows, map(tuple, rows.values()))),
     )
+
+
+def _checked_placement(
+    nodes: list[NodeId], placement: Mapping[NodeId, Sequence[int]], k: int, n: int
+) -> dict[NodeId, LatticeCoord]:
+    """placement restricted to nodes, with each coordinate as a tuple.
+
+    Raises PlacementError for the first node, in the order of nodes, that is
+    missing, has a coordinate of dimension other than k or outside [0, n),
+    or shares its cell with an earlier node. A placement of integer
+    coordinates is checked in bulk, over all of them at once; the per-node
+    loop runs only when that check fails, to name the first fault.
+    """
+    try:
+        placed = dict(zip(nodes, map(tuple, map(placement.get, nodes))))
+    except TypeError:
+        pass  # a missing node (tuple(None)) or a coordinate that is no sequence
+    else:
+        coords = placed.values()
+        values = list(chain.from_iterable(coords))
+        # Plain ints only: they are totally ordered, so min and max bound
+        # them all (a NaN would slip past both).
+        if (set(map(len, coords)) == {k} and set(map(type, values)) == {int}
+                and min(values) >= 0 and max(values) < n
+                and len(set(coords)) == len(placed)):
+            return placed
+
+    placed = {}
+    used: dict[LatticeCoord, NodeId] = {}
+    for node in nodes:
+        if node not in placement:
+            raise PlacementError(f"placement missing node {node}")
+        coord = tuple(placement[node])
+        if len(coord) != k:
+            raise PlacementError(
+                f"node {node}: coordinate {coord} has dimension {len(coord)}, expected {k}"
+            )
+        if any(not 0 <= c < n for c in coord):
+            raise PlacementError(f"node {node}: coordinate {coord} outside [0, {n})")
+        if coord in used:
+            raise PlacementError(
+                f"nodes {used[coord]} and {node} collide at {coord}"
+            )
+        used[coord] = node
+        placed[node] = coord
+    return placed
 
 
 def normalizing_term(graph: BaseGraph, node: NodeId) -> float:

@@ -179,6 +179,9 @@ def kleinberg_lattice(n: int, seed: int) -> tuple[OverlayNetwork, BaseGraph]:
     # One int object per node id, shared by the node set, the placement and
     # every link endpoint: on 256 x 256 that is 65k ids instead of about 365k.
     ids = list(range(size))
+    # cells[u] is node u's cell, divmod(u, n): the placement's coordinates
+    # and the long-range sampler's origins.
+    cells = list(itertools.product(range(n), repeat=2))
     links: list[EntangledLink] = []
     append = links.append
     for u in ids:
@@ -192,8 +195,8 @@ def kleinberg_lattice(n: int, seed: int) -> tuple[OverlayNetwork, BaseGraph]:
     # row, so only long-range pairs enter the dedupe set, keyed a*size + b.
     long_pairs: set[int] = set()
     cum_weights = _distance_cum_weights(n)
-    for u in ids:
-        cell = _sample_long_range(rng, divmod(u, n), n, cum_weights)
+    for u, origin in zip(ids, cells):
+        cell = _sample_long_range(rng, origin, n, cum_weights)
         if cell is None:
             continue
         v = ids[cell[0] * n + cell[1]]
@@ -206,6 +209,5 @@ def kleinberg_lattice(n: int, seed: int) -> tuple[OverlayNetwork, BaseGraph]:
         append(EntangledLink(len(links), a, b))
 
     network = make_network(ids, links)
-    placement = {u: divmod(u, n) for u in ids}
-    graph = map_overlay(network, k=2, n=n, placement=placement)
+    graph = map_overlay(network, k=2, n=n, placement=dict(zip(ids, cells)))
     return network, graph

@@ -10,7 +10,7 @@ import json
 import os
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import AbstractSet, Any, Mapping, Optional, Union
 
 from .adaption import PStarMode, ThresholdPolicy, adapt
 from .assignment import (
@@ -40,16 +40,35 @@ _LINK_FIELDS = (
     "throughput", "resource_count",
 )
 _LINK_INTEGERS = ("id", "a", "b", "level", "resource_count")
+_INF = float("inf")
+
+# The key sets of the records a file holds many of, built once.
+_LINK_KEYS = frozenset(_LINK_FIELDS)
+_PLACEMENT_KEYS = frozenset({"node", "coords"})
+_FAILURE_KEYS = frozenset({"target", "kind"})
+_FAILURE_OPTIONAL = frozenset({"magnitude", "time"})
+_DEMAND_KEYS = frozenset({"user", "source", "target"})
+_DEMAND_OPTIONAL = frozenset({"rate"})
+_RESOURCE_SET_KEYS = frozenset({"link", "states"})
+_INTERFERENCE_KEYS = frozenset({"link", "state", "competing"})
 
 
-def _require(record: Mapping[str, Any], fields: tuple[str, ...], context: str,
-             optional: tuple[str, ...] = ()) -> None:
+def _require(record: Mapping[str, Any], fields: AbstractSet[str], context: str,
+             optional: AbstractSet[str] = frozenset()) -> None:
+    """record must be an object with every key of fields and no key outside
+    fields and optional. A valid record costs one key-set comparison, plus
+    a subset test when it holds optional keys; the set arithmetic below
+    runs only to name the fault."""
+    if type(record) is dict:
+        keys = record.keys()
+        if keys == fields or (optional and fields <= keys <= fields | optional):
+            return
     if not isinstance(record, dict):
         raise ConfigError(f"{context}: expected an object")
-    unknown = set(record) - set(fields) - set(optional)
+    unknown = record.keys() - fields - optional
     if unknown:
         raise ConfigError(f"{context}: unknown fields {sorted(unknown)}")
-    missing = set(fields) - set(record)
+    missing = fields - record.keys()
     if missing:
         raise ConfigError(f"{context}: missing fields {sorted(missing)}")
 
@@ -74,6 +93,8 @@ def _integer(value: Any, context: str, key: Union[str, int],
 def _number(value: Any, context: str, key: Union[str, int]) -> Union[int, float]:
     if type(value) not in (int, float):  # bool is an int subclass, and no number
         raise ConfigError(f"{_path(context, key)}: expected a number, got {value!r}")
+    if not -_INF < value < _INF:  # NaN fails both comparisons
+        raise ConfigError(f"{_path(context, key)}: expected a finite number, got {value!r}")
     return value
 
 
@@ -145,7 +166,7 @@ def network_to_dict(network: OverlayNetwork) -> dict:
 
 
 def network_from_dict(data: Mapping[str, Any]) -> OverlayNetwork:
-    _require(data, ("nodes", "links"), "network")
+    _require(data, {"nodes", "links"}, "network")
     for i, node in enumerate(_list(data["nodes"], "network.nodes")):
         if type(node) is not int:  # bool is an int subclass, and no node id
             raise ConfigError(f"network.nodes[{i}]: expected an integer, got {node!r}")
@@ -153,7 +174,7 @@ def network_from_dict(data: Mapping[str, Any]) -> OverlayNetwork:
     links = []
     for i, record in enumerate(_list(data["links"], "network.links")):
         where = f"network.links[{i}]"
-        _require(record, _LINK_FIELDS, where)
+        _require(record, _LINK_KEYS, where)
         # One chain tests all five integer fields; the loop only names the bad one.
         if not (type(record["id"]) is type(record["a"]) is type(record["b"])
                 is type(record["level"]) is type(record["resource_count"]) is int):
@@ -194,7 +215,7 @@ def save_network(network: OverlayNetwork, path: PathLike) -> None:
 def placement_from_list(data: Any) -> dict[int, tuple[int, ...]]:
     placement: dict[int, tuple[int, ...]] = {}
     for i, record in enumerate(_list(data, "placement")):
-        _require(record, ("node", "coords"), f"placement[{i}]")
+        _require(record, _PLACEMENT_KEYS, f"placement[{i}]")
         node, coords = record["node"], record["coords"]
         if type(node) is not int:  # bool is an int subclass, and no node id
             raise ConfigError(f"placement[{i}].node: expected an integer, got {node!r}")
@@ -213,8 +234,8 @@ def base_graph_from_dict(
 ) -> tuple[int, int, Optional[dict[int, tuple[int, ...]]], Optional[int]]:
     """The k, n, placement and seed (None when absent) of a base_graph
     record; map_overlay needs k >= 1, n >= 2. Only a seeded record has a seed."""
-    _require(data, ("k", "n"), context,
-             optional=("placement", "seed") if seeded else ("placement",))
+    _require(data, {"k", "n"}, context,
+             optional={"placement", "seed"} if seeded else {"placement"})
     return (
         _integer(data["k"], context, "k", minimum=1),
         _integer(data["n"], context, "n", minimum=2),
@@ -237,7 +258,7 @@ def base_graph_to_dict(k: int, n: int,
 # -- thresholds --------------------------------------------------------------
 
 def thresholds_from_dict(data: Mapping[str, Any]) -> ThresholdPolicy:
-    _require(data, (), "thresholds", optional=("default", "levels"))
+    _require(data, set(), "thresholds", optional={"default", "levels"})
     levels = data.get("levels", {})
     if not isinstance(levels, dict):
         raise ConfigError("thresholds.levels: expected an object")
@@ -268,7 +289,7 @@ def pstar_mode_from_dict(data: Mapping[str, Any], context: str) -> PStarMode:
 # -- generator, failures and demands -----------------------------------------
 
 def generator_from_dict(data: Mapping[str, Any], context: str) -> GeneratorParams:
-    _require(data, (), context, optional=tuple(f.name for f in fields(GeneratorParams)))
+    _require(data, set(), context, optional={f.name for f in fields(GeneratorParams)})
     try:
         return GeneratorParams(**{
             key: tuple(value) if isinstance(value, list) else value
@@ -285,7 +306,7 @@ def generator_to_dict(params: GeneratorParams) -> dict:
 
 
 def failure_from_dict(data: Mapping[str, Any], context: str) -> FailureEvent:
-    _require(data, ("target", "kind"), context, optional=("magnitude", "time"))
+    _require(data, _FAILURE_KEYS, context, optional=_FAILURE_OPTIONAL)
     try:
         return FailureEvent(
             target=_integer(data["target"], context, "target"),
@@ -303,7 +324,7 @@ def failure_to_dict(event: FailureEvent) -> dict:
 
 
 def demand_from_dict(data: Mapping[str, Any], context: str) -> Demand:
-    _require(data, ("user", "source", "target"), context, optional=("rate",))
+    _require(data, _DEMAND_KEYS, context, optional=_DEMAND_OPTIONAL)
     try:
         return Demand(
             user=_integer(data["user"], context, "user"),
@@ -335,9 +356,9 @@ def instance_from_dict(
 ) -> AssignmentInstance:
     _require(
         data,
-        ("base_graph", "demands", "resource_sets"),
+        {"base_graph", "demands", "resource_sets"},
         "instance",
-        optional=("network", "network_file", "thresholds", "pstar_mode", "interference"),
+        optional={"network", "network_file", "thresholds", "pstar_mode", "interference"},
     )
     if ("network" in data) == ("network_file" in data):
         raise ConfigError("instance: provide exactly one of network, network_file")
@@ -355,7 +376,7 @@ def instance_from_dict(
     resource_sets = {}
     for i, record in enumerate(_list(data["resource_sets"], "instance.resource_sets")):
         where = f"instance.resource_sets[{i}]"
-        _require(record, ("link", "states"), where)
+        _require(record, _RESOURCE_SET_KEYS, where)
         link, states = record["link"], record["states"]
         if type(link) is not int:
             _integer(link, where, "link")
@@ -368,7 +389,7 @@ def instance_from_dict(
     interference = []
     for i, record in enumerate(_list(data.get("interference", []), "instance.interference")):
         where = f"instance.interference[{i}]"
-        _require(record, ("link", "state", "competing"), where)
+        _require(record, _INTERFERENCE_KEYS, where)
         link, state = record["link"], record["state"]
         if type(link) is not int or type(state) is not int:
             _integer(link, where, "link")
@@ -446,7 +467,7 @@ def save_solve_result(result: SolveResult, path: PathLike) -> None:
 # -- conflict graphs ----------------------------------------------------------
 
 def conflict_graph_from_dict(data: Mapping[str, Any]) -> ConflictGraph:
-    _require(data, ("vertices", "edges"), "graph", optional=("k_star",))
+    _require(data, {"vertices", "edges"}, "graph", optional={"k_star"})
     try:
         return make_conflict_graph(
             _integer_list(data["vertices"], "graph", "vertices"),

@@ -7,7 +7,7 @@ All values are immutable; mutating operations return new networks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Optional
@@ -17,6 +17,8 @@ from .errors import InvalidLevelError, NotFoundError, Violation
 NodeId = int
 LinkId = int
 
+_INF = float("inf")
+
 
 def hop_distance(level: int) -> int:
     """Physical hop distance spanned by a level-l entangled link: 2**(l-1)."""
@@ -25,15 +27,16 @@ def hop_distance(level: int) -> int:
     return 2 ** (level - 1)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EntangledLink:
     """A level-l entangled link between two overlay nodes.
 
     swap_success, photon_loss, and fidelity are scalars in [0, 1] supplied
     by configuration or a generator; they are not derived from a physical
     model. throughput is measured in maximally entangled states per second
-    at fidelity `fidelity`. resource_count is the number of entangled
-    states stored on the link (defaults to the minimal usable value, 1).
+    at fidelity `fidelity`, a finite number >= 0. resource_count is the
+    number of entangled states stored on the link (defaults to the minimal
+    usable value, 1).
     """
 
     id: LinkId
@@ -46,21 +49,47 @@ class EntangledLink:
     throughput: float = 0.0
     resource_count: int = 1
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError(f"link {self.id}: endpoints must be distinct")
-        if self.level < 1:
-            raise InvalidLevelError(
-                f"link {self.id}: level must be >= 1, got {self.level}"
-            )
-        for name in ("swap_success", "photon_loss", "fidelity"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"link {self.id}: {name}={value} outside [0, 1]")
-        if self.throughput < 0:
-            raise ValueError(f"link {self.id}: throughput must be >= 0")
-        if self.resource_count < 0:
-            raise ValueError(f"link {self.id}: resource_count must be >= 0")
+    def __init__(
+        self,
+        id: LinkId,
+        a: NodeId,
+        b: NodeId,
+        level: int = 1,
+        swap_success: float = 1.0,
+        photon_loss: float = 0.0,
+        fidelity: float = 1.0,
+        throughput: float = 0.0,
+        resource_count: int = 1,
+    ) -> None:
+        # Every builder constructs links through here, so every link is
+        # checked. Valid links take one test per check; the loop below runs
+        # only to name a bad [0, 1] field. The fields are stored through the
+        # slot descriptors, since the frozen class's own __setattr__ raises.
+        if a == b:
+            raise ValueError(f"link {id}: endpoints must be distinct")
+        if level < 1:
+            raise InvalidLevelError(f"link {id}: level must be >= 1, got {level}")
+        if not (0.0 <= swap_success <= 1.0 and 0.0 <= photon_loss <= 1.0
+                and 0.0 <= fidelity <= 1.0):
+            for name, value in (("swap_success", swap_success),
+                                ("photon_loss", photon_loss), ("fidelity", fidelity)):
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"link {id}: {name}={value} outside [0, 1]")
+        if throughput < 0:
+            raise ValueError(f"link {id}: throughput must be >= 0")
+        if not throughput < _INF:  # NaN fails this comparison too
+            raise ValueError(f"link {id}: throughput={throughput} is not finite")
+        if resource_count < 0:
+            raise ValueError(f"link {id}: resource_count must be >= 0")
+        _set_id(self, id)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_level(self, level)
+        _set_swap_success(self, swap_success)
+        _set_photon_loss(self, photon_loss)
+        _set_fidelity(self, fidelity)
+        _set_throughput(self, throughput)
+        _set_resource_count(self, resource_count)
 
     @property
     def endpoints(self) -> tuple[NodeId, NodeId]:
@@ -81,6 +110,14 @@ class EntangledLink:
         if node == self.b:
             return self.a
         raise NotFoundError(f"node {node} is not an endpoint of link {self.id}")
+
+
+# The slot descriptors' setters, bound once; EntangledLink.__init__ stores
+# each field through them.
+(_set_id, _set_a, _set_b, _set_level, _set_swap_success, _set_photon_loss,
+ _set_fidelity, _set_throughput, _set_resource_count) = (
+    EntangledLink.__dict__[f.name].__set__ for f in fields(EntangledLink)
+)
 
 
 def link_existence_probability(link: EntangledLink) -> float:

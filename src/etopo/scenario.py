@@ -107,10 +107,10 @@ class Scenario:
 def scenario_from_dict(data: Mapping[str, Any], base_dir: Optional[Path] = None) -> Scenario:
     _require(
         data,
-        ("seed", "trials", "base_graph", "demands"),
+        {"seed", "trials", "base_graph", "demands"},
         "scenario",
-        optional=("network", "network_file", "generator", "thresholds",
-                  "pstar_mode", "failures"),
+        optional={"network", "network_file", "generator", "thresholds",
+                  "pstar_mode", "failures"},
     )
     k, n, placement, _ = base_graph_from_dict(
         data["base_graph"], "scenario.base_graph", seeded=False)

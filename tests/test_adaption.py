@@ -13,8 +13,9 @@ from etopo import (
     link_existence_probability,
     make_network,
     map_overlay,
+    updated_probability,
 )
-from util import random_overlay
+from util import random_overlay, reference_link_update
 
 
 def three_link_setup():
@@ -159,6 +160,42 @@ class TestAdapt:
         graph2 = map_overlay(survivors, k=1, n=4, placement=dict(graph.placement))
         second = adapt(graph2, survivors, policy)
         assert second.links == first.links
+
+
+class TestThresholdRule:
+    """adapt and updated_probability apply the rule of reference_link_update,
+    link by link, over random overlays with per-level thresholds."""
+
+    @pytest.mark.parametrize("mode", list(PStarMode))
+    def test_matches_per_link_rule(self, mode):
+        rng = random.Random(47)
+        at_threshold = 0
+        for _ in range(60):
+            net = random_overlay(rng, 7, 12)
+            graph = map_overlay(net, k=2, n=8, seed=rng.randrange(2**32))
+            # Thresholds drawn from the links' own probabilities put some
+            # links exactly at their level's threshold; those are retained.
+            probs = [link_existence_probability(l) for l in net.links]
+            policy = ThresholdPolicy(
+                default=rng.choice(probs),
+                per_level={l: rng.choice([*probs, rng.random()]) for l in (1, 2)},
+            )
+            adapted = adapt(graph, net, policy, mode)
+            expected = {}
+            for link in net.links:
+                meets, p_star = reference_link_update(link, policy, mode)
+                if meets:
+                    expected[link.id] = p_star
+            assert list(adapted.p_star_by_link.items()) == list(expected.items())
+            for link in net.links:
+                if link_existence_probability(link) == policy.threshold_for(link.level):
+                    at_threshold += 1
+                    assert link.id in adapted.links
+                assert updated_probability(graph, net, link.a, link.b, policy, mode) == max(
+                    reference_link_update(l, policy, mode)[1]
+                    for l in net.links_between(link.a, link.b)
+                )
+        assert at_threshold > 0
 
 
 class TestAdaptAndRoute:

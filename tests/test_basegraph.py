@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,7 @@ from etopo import (
     map_overlay,
     normalizing_term,
 )
-from util import random_overlay
+from util import random_overlay, reference_placement
 
 coords = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 
@@ -84,6 +85,61 @@ class TestMapOverlay:
         net = line_network()
         graph = map_overlay(net, k=1, n=4, placement={0: (0,), 1: (1,), 2: (2,)})
         assert graph.contacts_of(1) == ((0, 0), (2, 1))
+
+
+def _outcome(place, *args):
+    """What place(*args) returns, or the type and message it raises."""
+    try:
+        return place(*args)
+    except (PlacementError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPlacementChecks:
+    """map_overlay checks an explicit placement in bulk; each fault must
+    still raise the message of the node-by-node check, for the same first
+    node in sorted order."""
+
+    NODES = range(6)
+    NET = make_network(NODES, [EntangledLink(id=i, a=i, b=i + 1) for i in range(5)])
+    GOOD = {i: (i % 3, i // 3) for i in NODES}
+
+    @pytest.mark.parametrize("edit,message", [
+        ({4: None}, "placement missing node 4"),
+        ({2: (1,)}, "node 2: coordinate (1,) has dimension 1, expected 2"),
+        ({3: (0, -1)}, "node 3: coordinate (0, -1) outside [0, 3)"),
+        ({1: (3, 0)}, "node 1: coordinate (3, 0) outside [0, 3)"),
+        ({5: (1, 0)}, "nodes 1 and 5 collide at (1, 0)"),
+        # several faults: the lowest faulty node is named
+        ({5: None, 2: (0, 5), 4: (1,)}, "node 2: coordinate (0, 5) outside [0, 3)"),
+        ({4: (0, 0)}, "nodes 0 and 4 collide at (0, 0)"),
+        ({3: (float("nan"), 0)}, "node 3: coordinate (nan, 0) outside [0, 3)"),
+        ({0: (True, 0)}, "nodes 0 and 1 collide at (1, 0)"),
+    ])
+    def test_fault_names_first_node(self, edit, message):
+        placement = {**self.GOOD, **edit}
+        placement = {node: c for node, c in placement.items() if c is not None}
+        with pytest.raises(PlacementError) as info:
+            map_overlay(self.NET, k=2, n=3, placement=placement)
+        assert str(info.value) == message
+        assert _outcome(reference_placement, self.NODES, placement, 2, 3) == \
+            (PlacementError, message)
+
+    def test_missing_node_is_not_looked_up_into_being(self):
+        placement = defaultdict(lambda: (2, 2), {i: self.GOOD[i] for i in range(5)})
+        with pytest.raises(PlacementError, match="^placement missing node 5$"):
+            map_overlay(self.NET, k=2, n=3, placement=placement)
+        assert 5 not in placement
+
+    @pytest.mark.parametrize("edit", [
+        {}, {0: [2, 2]}, {0: (0.5, 2)}, {2: (2, 1), 5: (2, 0)}, {3: "x"}, {3: 7},
+    ])
+    def test_matches_node_by_node_check(self, edit):
+        placement = {**self.GOOD, **edit, 9: (2, 2)}  # extra entries are ignored
+        expected = _outcome(reference_placement, self.NODES, placement, 2, 3)
+        got = _outcome(
+            lambda: map_overlay(self.NET, k=2, n=3, placement=placement).placement)
+        assert got == expected
 
 
 class TestNormalizingTerm:

@@ -4,6 +4,10 @@ Each value of a valid file, at any depth and the whole document too, is
 replaced in turn by each of null, true, "x", 1.5, -1, [] and {}, and each
 value is also deleted. The CLI must answer every mutated file with exit
 0, 1 or 2: exit 3 is kept for bugs in the program, not for bad input.
+
+A second sweep puts each of NaN, Infinity and -Infinity (JSON extensions
+that Python's json reads) in place of each value. No field takes a
+non-finite number, so every such file must exit 1.
 """
 
 import copy
@@ -11,9 +15,10 @@ import json
 
 import pytest
 
-from etopo.cli import EXIT_INTERNAL, main
+from etopo.cli import EXIT_CONFIG, EXIT_INTERNAL, main
 
 MUTANTS = (None, True, "x", 1.5, -1, [], {})
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 DELETE = object()
 
 
@@ -100,12 +105,14 @@ def _value_paths(value, prefix=()):
         yield from _value_paths(child, prefix + (key,))
 
 
-def _mutations(data):
-    """(label, mutated document) for every one-field mutation of data."""
-    for new in MUTANTS:
-        yield f"<root> = {new!r}", new
+def _mutations(data, values=(*MUTANTS, DELETE)):
+    """(label, mutated document) for every replacement of one value of data,
+    or of data itself, by one of values (DELETE deletes the value)."""
+    for new in values:
+        if new is not DELETE:
+            yield f"<root> = {new!r}", new
     for path in _value_paths(data):
-        for new in (*MUTANTS, DELETE):
+        for new in values:
             doc = copy.deepcopy(data)
             parent = doc
             for key in path[:-1]:
@@ -145,3 +152,18 @@ def test_no_mutated_file_exits_internal(kind, tmp_path, capsys):
             capsys.readouterr()
     assert not internal, f"{len(internal)} mutations of {kind} exited " \
                          f"{EXIT_INTERNAL} or worse:\n" + "\n".join(internal)
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_non_finite_value_exits_config_error(kind, tmp_path, capsys):
+    path = tmp_path / f"{kind}.json"
+    argv = _command(kind, str(path), tmp_path)
+    wrong = []
+    for label, doc in _mutations(FILES[kind], NON_FINITE):
+        path.write_text(json.dumps(doc))
+        code = main(argv)
+        capsys.readouterr()
+        if code != EXIT_CONFIG:
+            wrong.append(f"{label}: exit {code}")
+    assert not wrong, f"{len(wrong)} non-finite values in {kind} did not exit " \
+                      f"{EXIT_CONFIG}:\n" + "\n".join(wrong)

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -12,6 +14,7 @@ from etopo import (
     make_network,
 )
 from etopo.io import (
+    _require,
     conflict_graph_from_dict,
     instance_from_dict,
     instance_to_dict,
@@ -161,6 +164,65 @@ class TestInstance:
         data["solver"] = "exact"
         with pytest.raises(ConfigError):
             instance_from_dict(data)
+
+
+class TestNonFinite:
+    """No field of any file takes NaN or an infinity; the error names the field."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_link_throughput(self, value):
+        data = network_to_dict(make_network([0, 1], [EntangledLink(id=0, a=0, b=1)]))
+        data["links"][0]["throughput"] = value
+        with pytest.raises(ConfigError, match=rf"^network\.links\[0\]: link 0: "
+                                              rf"throughput={value} is not finite$"):
+            network_from_dict(data)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_demand_rate(self, value):
+        data = TestInstance().base_dict()
+        data["demands"][0]["rate"] = value
+        with pytest.raises(ConfigError, match=rf"^instance\.demands\[0\]\.rate: "
+                                              rf"expected a finite number, got {value}$"):
+            instance_from_dict(data)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_threshold(self, value):
+        with pytest.raises(ConfigError, match=r"^thresholds\.levels\.2: expected a finite"):
+            thresholds_from_dict({"default": 0.5, "levels": {"2": value}})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_demand_constructor(self, value):
+        with pytest.raises(ValueError, match="demand rate must be finite"):
+            Demand(user=0, source=0, target=1, rate=value)
+
+
+class TestRequire:
+    FIELDS = frozenset({"user", "source"})
+    OPTIONAL = frozenset({"rate"})
+
+    @pytest.mark.parametrize("record", [
+        {"user": 0, "source": 1},
+        {"user": 0, "source": 1, "rate": 2.0},
+        OrderedDict(user=0, source=1, rate=2.0),
+    ])
+    def test_valid(self, record):
+        assert _require(record, self.FIELDS, "d", self.OPTIONAL) is None
+
+    @pytest.mark.parametrize("record,message", [
+        ([], "d: expected an object"),
+        ({"user": 0, "source": 1, "z": 0, "a": 0}, "d: unknown fields ['a', 'z']"),
+        ({"user": 0, "rate": 1.0, "z": 0}, "d: unknown fields ['z']"),
+        ({"rate": 1.0}, "d: missing fields ['source', 'user']"),
+        ({}, "d: missing fields ['source', 'user']"),
+    ])
+    def test_invalid(self, record, message):
+        with pytest.raises(ConfigError) as info:
+            _require(record, self.FIELDS, "d", self.OPTIONAL)
+        assert str(info.value) == message
+
+    def test_optional_fields_only_where_given(self):
+        with pytest.raises(ConfigError, match=r"^d: unknown fields \['rate'\]$"):
+            _require({"user": 0, "source": 1, "rate": 2.0}, self.FIELDS, "d")
 
 
 class TestConflictGraphParsing:

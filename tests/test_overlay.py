@@ -1,3 +1,7 @@
+import math
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +17,7 @@ from etopo import (
     make_network,
     validate,
 )
+from util import ReferenceLink
 
 
 def make_link(**kwargs):
@@ -76,6 +81,97 @@ class TestInvariants:
             make_link(swap_success=1.2)
         with pytest.raises(ValueError):
             make_link(photon_loss=-0.1)
+
+
+VALID = dict(id=7, a=2, b=5, level=2, swap_success=0.5, photon_loss=0.25,
+             fidelity=0.75, throughput=3.0, resource_count=4)
+
+# (field, bad value) for every check, with TypeError cases for values that
+# do not compare with numbers; EntangledLink must raise what ReferenceLink
+# raises, type and message.
+BAD_FIELDS = [
+    ("b", 2), ("level", 0), ("level", -3), ("level", "x"), ("level", None),
+    *((name, value)
+      for name in ("swap_success", "photon_loss", "fidelity")
+      for value in (1.5, -0.25, math.nan, math.inf, "x", None)),
+    ("throughput", -1.0), ("throughput", -math.inf), ("throughput", "x"),
+    ("throughput", None), ("resource_count", -1), ("resource_count", "x"),
+]
+
+
+def _raised(build, *args, **kwargs):
+    with pytest.raises(Exception) as info:
+        build(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+class TestEntangledLinkContract:
+    @pytest.mark.parametrize("name,value", BAD_FIELDS)
+    def test_bad_field_raises_as_reference(self, name, value):
+        bad = {**VALID, name: value}
+        assert _raised(EntangledLink, **bad) == _raised(ReferenceLink, **bad)
+
+    @pytest.mark.parametrize("faults", [
+        {"b": 2, "level": 0},
+        {"level": 0, "swap_success": 2.0},
+        {"swap_success": 2.0, "fidelity": "x"},
+        {"photon_loss": "x", "fidelity": 2.0},
+        {"fidelity": -1.0, "throughput": -1.0},
+        {"throughput": -1.0, "resource_count": -1},
+    ])
+    def test_first_fault_is_named_as_reference(self, faults):
+        bad = {**VALID, **faults}
+        assert _raised(EntangledLink, **bad) == _raised(ReferenceLink, **bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_throughput_rejected(self, value):
+        with pytest.raises(ValueError, match=f"link 7: throughput={value} is not finite"):
+            EntangledLink(**{**VALID, "throughput": value})
+
+    def test_positional_and_keyword_agree(self):
+        assert EntangledLink(*VALID.values()) == EntangledLink(**VALID)
+        assert EntangledLink(1, 0, 3) == EntangledLink(id=1, a=0, b=3)
+
+    def test_fields_and_defaults_match_reference(self):
+        def shape(cls):
+            return [(f.name, f.default, f.init, f.compare, f.hash) for f in fields(cls)]
+
+        assert shape(EntangledLink) == shape(ReferenceLink)
+        link = EntangledLink(1, 0, 3)
+        assert {f.name: getattr(link, f.name) for f in fields(link)} == {
+            f.name: getattr(ReferenceLink(1, 0, 3), f.name) for f in fields(ReferenceLink)
+        }
+
+    def test_values_eq_hash_repr(self):
+        link = EntangledLink(**VALID)
+        assert {f.name: getattr(link, f.name) for f in fields(link)} == VALID
+        twin = EntangledLink(**VALID)
+        assert link == twin and hash(link) == hash(twin)
+        assert hash(link) == hash(ReferenceLink(**VALID))
+        assert link != EntangledLink(**{**VALID, "resource_count": 5})
+        assert repr(link) == repr(ReferenceLink(**VALID)).replace(
+            "ReferenceLink", "EntangledLink")
+        assert repr(link) == (
+            "EntangledLink(id=7, a=2, b=5, level=2, swap_success=0.5, photon_loss=0.25, "
+            "fidelity=0.75, throughput=3.0, resource_count=4)"
+        )
+
+    def test_replace_builds_a_checked_link(self):
+        link = EntangledLink(**VALID)
+        assert replace(link, fidelity=0.5) == EntangledLink(**{**VALID, "fidelity": 0.5})
+        assert replace(link) == link
+        for name, value in BAD_FIELDS:
+            assert _raised(replace, link, **{name: value}) == \
+                _raised(ReferenceLink, **{**VALID, name: value})
+
+    def test_frozen_and_slotted(self):
+        link = EntangledLink(**VALID)
+        with pytest.raises(FrozenInstanceError):
+            link.a = 0
+        with pytest.raises(FrozenInstanceError):
+            del link.fidelity
+        assert not hasattr(link, "__dict__")
+        assert pickle.loads(pickle.dumps(link)) == link
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from typing import Optional
 
 from etopo import (
@@ -20,13 +21,17 @@ from etopo import (
     EntangledLink,
     GeneratorParams,
     InterferenceSet,
+    InvalidLevelError,
     Path,
+    PlacementError,
+    PStarMode,
     ResourceSet,
     RouteStatus,
     RoutingOutcome,
     ThresholdPolicy,
     adapt,
     l1_distance,
+    link_existence_probability,
     make_network,
     map_overlay,
 )
@@ -160,6 +165,77 @@ def reference_simple_paths(graph, adapted, source, target):
 
     extend([source], [])
     return sorted(results)
+
+
+# -- reference link checks, threshold rule and placement checks ---------------
+#
+# The per-field, per-link and per-node forms of checks the package runs in
+# bulk. EntangledLink, adapt and map_overlay must raise the same errors and
+# give the same results.
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceLink:
+    """EntangledLink's fields and checks, as a generated dataclass __init__
+    followed by a __post_init__ that tests each field in turn. It takes a
+    NaN or infinite throughput, which EntangledLink rejects."""
+
+    id: int
+    a: int
+    b: int
+    level: int = 1
+    swap_success: float = 1.0
+    photon_loss: float = 0.0
+    fidelity: float = 1.0
+    throughput: float = 0.0
+    resource_count: int = 1
+
+    def __post_init__(self) -> None:
+        if self.a == self.b:
+            raise ValueError(f"link {self.id}: endpoints must be distinct")
+        if self.level < 1:
+            raise InvalidLevelError(
+                f"link {self.id}: level must be >= 1, got {self.level}"
+            )
+        for name in ("swap_success", "photon_loss", "fidelity"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"link {self.id}: {name}={value} outside [0, 1]")
+        if self.throughput < 0:
+            raise ValueError(f"link {self.id}: throughput must be >= 0")
+        if self.resource_count < 0:
+            raise ValueError(f"link {self.id}: resource_count must be >= 0")
+
+
+def reference_link_update(link, policy: ThresholdPolicy, mode: PStarMode):
+    """Whether link meets its level threshold, and its updated probability."""
+    pr = link_existence_probability(link)
+    threshold = policy.threshold_for(link.level)
+    if pr < threshold:
+        return False, 0.0
+    return True, pr if mode is PStarMode.MEASURED else threshold
+
+
+def reference_placement(nodes, placement, k: int, n: int):
+    """placement checked node by node in sorted order; raises PlacementError
+    at the first missing, misshapen, out-of-range or colliding node."""
+    placed = {}
+    used = {}
+    for node in sorted(nodes):
+        if node not in placement:
+            raise PlacementError(f"placement missing node {node}")
+        coord = tuple(placement[node])
+        if len(coord) != k:
+            raise PlacementError(
+                f"node {node}: coordinate {coord} has dimension {len(coord)}, expected {k}"
+            )
+        if any(not 0 <= c < n for c in coord):
+            raise PlacementError(f"node {node}: coordinate {coord} outside [0, {n})")
+        if coord in used:
+            raise PlacementError(f"nodes {used[coord]} and {node} collide at {coord}")
+        used[coord] = node
+        placed[node] = coord
+    return placed
 
 
 # -- reference Kleinberg lattice ----------------------------------------------
