@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, MutableMapping, NamedTuple, Optional, Sequence
+from typing import Container, Mapping, MutableMapping, NamedTuple, Optional, Sequence
 
 from .adaption import AdaptedLinkSet
 from .basegraph import BaseGraph
@@ -351,9 +351,11 @@ class _Option(NamedTuple):
 
 
 def enumerate_simple_paths(
-    instance: AssignmentInstance, source: NodeId, target: NodeId
+    instance: AssignmentInstance, source: NodeId, target: NodeId,
+    only: Optional[Container[LinkId]] = None,
 ) -> list[tuple[tuple[NodeId, ...], tuple[LinkId, ...]]]:
-    """All node-simple paths over the adapted set, link-resolved."""
+    """All node-simple paths over the adapted set, link-resolved; when only
+    is given, just the paths all of whose links are in it."""
     results: list[tuple[tuple[NodeId, ...], tuple[LinkId, ...]]] = []
     adjacency = instance.adapted.adjacency_on(instance.graph)
 
@@ -363,7 +365,7 @@ def enumerate_simple_paths(
             results.append((tuple(nodes), tuple(links)))
             return
         for nbr, lid in adjacency.get(current, ()):
-            if nbr in nodes:
+            if nbr in nodes or (only is not None and lid not in only):
                 continue
             nodes.append(nbr)
             links.append(lid)
@@ -387,7 +389,10 @@ def _demand_options(
     demand = instance.demand(qid)
     options: list[_Option] = []
     total = 0
-    for _, links in enumerate_simple_paths(instance, demand.source, demand.target):
+    # A path over a link without states counts no option and yields none,
+    # so only links that hold states are walked.
+    stated = {lid for lid, rs in instance.resource_sets.items() if rs.states}
+    for _, links in enumerate_simple_paths(instance, demand.source, demand.target, stated):
         total += math.prod(len(instance.states_of(lid)) for lid in links)
         if total > option_cap:
             raise TooLargeError(f"demand {qid} has more than {option_cap} serving options")

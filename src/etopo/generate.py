@@ -10,12 +10,14 @@ at most one long-range link drawn by an approximation of the d**(-2) law
 from __future__ import annotations
 
 import bisect
+import contextlib
+import gc
 import hashlib
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .basegraph import BaseGraph, map_overlay
 from .errors import ConfigError
@@ -138,27 +140,55 @@ def _sample_long_range(
     model calls for, but not exactly it. dx = -d and dx = d give dy = 0
     under either coin, so at every distance the two x-axis cells get twice
     the mass of the other cells on the ring. After 64 off-lattice tries
-    the node gets no long-range contact at all. ROADMAP item 1 tracks the
-    exact sampler, which changes every lattice.
+    the node gets no long-range contact at all. The ROADMAP item "An exact
+    Kleinberg sampler" tracks the exact law, which changes every lattice.
 
     cum_weights is _distance_cum_weights(n). The distance draw is the one
     `rng.choices(range(1, len(cum_weights) + 1), cum_weights=cum_weights)`
-    makes, so the random stream is consumed exactly as that call does.
+    makes, and the dx draw is the one `rng.randint(-d, d)` makes on
+    CPython 3.10 to 3.13 (randrange's rejection loop over getrandbits,
+    without its three Python frames), so the random stream is consumed
+    exactly as those calls do.
     """
     x, y = origin
     hi = len(cum_weights) - 1
     total = cum_weights[-1]
     random_ = rng.random
-    randint = rng.randint
+    getrandbits = rng.getrandbits
     for _ in range(64):
         d = bisect.bisect(cum_weights, random_() * total, 0, hi) + 1
-        dx = randint(-d, d)
+        width = 2 * d + 1
+        bits = width.bit_length()
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        dx = r - d
         dy_mag = d - abs(dx)
         cx = x + dx
         cy = y + dy_mag if random_() < 0.5 else y - dy_mag
         if 0 <= cx < n and 0 <= cy < n:
             return cx, cy
     return None
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Disable the cyclic garbage collector, then re-enable it only if it
+    was enabled before.
+
+    A 256 x 256 lattice allocates about 850k tracked containers (links,
+    contact tuples, rows and cells), none of them in a reference cycle.
+    CPython runs a collection each time the tracked heap grows by a
+    quarter, so with the collector on the build walks its own growing heap
+    about a dozen times, a quarter to a third of its cost, to free nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def kleinberg_lattice(n: int, seed: int) -> tuple[OverlayNetwork, BaseGraph]:
@@ -171,43 +201,48 @@ def kleinberg_lattice(n: int, seed: int) -> tuple[OverlayNetwork, BaseGraph]:
     A long-range draw that repeats a grid link or an earlier long-range
     pair is skipped, and a node whose 64 tries all fall off the lattice
     has none, so a lattice holds at most n * n long-range links.
+
+    The cyclic garbage collector is paused process-wide for the whole
+    build, map_overlay included, and restored to its prior state after
+    it, also when the build raises.
     """
     if n < 2:
         raise ConfigError("lattice side must be >= 2")
-    rng = random.Random(seed)
-    size = n * n
-    # One int object per node id, shared by the node set, the placement and
-    # every link endpoint: on 256 x 256 that is 65k ids instead of about 365k.
-    ids = list(range(size))
-    # cells[u] is node u's cell, divmod(u, n): the placement's coordinates
-    # and the long-range sampler's origins.
-    cells = list(itertools.product(range(n), repeat=2))
-    links: list[EntangledLink] = []
-    append = links.append
-    for u in ids:
-        if u + n < size:
-            append(EntangledLink(len(links), u, ids[u + n]))
-        if (u + 1) % n:
-            append(EntangledLink(len(links), u, ids[u + 1]))
+    with _collector_paused():
+        rng = random.Random(seed)
+        size = n * n
+        # One int object per node id, shared by the node set, the placement and
+        # every link endpoint: on 256 x 256 that is 65k ids instead of about 365k.
+        ids = list(range(size))
+        # cells[u] is node u's cell, divmod(u, n): the placement's coordinates
+        # and the long-range sampler's origins.
+        cells = list(itertools.product(range(n), repeat=2))
+        links: list[EntangledLink] = []
+        append = links.append
+        for u in ids:
+            if u + n < size:
+                append(EntangledLink(len(links), u, ids[u + n]))
+            if (u + 1) % n:
+                append(EntangledLink(len(links), u, ids[u + 1]))
 
-    # Grid pairs are distinct by construction. A long-range pair (a, b),
-    # a < b, repeats one exactly when b - a == n, or b - a == 1 within a
-    # row, so only long-range pairs enter the dedupe set, keyed a*size + b.
-    long_pairs: set[int] = set()
-    cum_weights = _distance_cum_weights(n)
-    for u, origin in zip(ids, cells):
-        cell = _sample_long_range(rng, origin, n, cum_weights)
-        if cell is None:
-            continue
-        v = ids[cell[0] * n + cell[1]]
-        a, b = (u, v) if u < v else (v, u)
-        gap = b - a
-        key = a * size + b
-        if gap == n or (gap == 1 and b % n) or key in long_pairs:
-            continue
-        long_pairs.add(key)
-        append(EntangledLink(len(links), a, b))
+        # Grid pairs are distinct by construction. A long-range pair (a, b),
+        # a < b, repeats one exactly when b - a == n, or b - a == 1 within a
+        # row, so only long-range pairs enter the dedupe set, keyed a*size + b.
+        long_pairs: set[int] = set()
+        cum_weights = _distance_cum_weights(n)
+        for u, origin in zip(ids, cells):
+            cell = _sample_long_range(rng, origin, n, cum_weights)
+            if cell is None:
+                continue
+            v = ids[cell[0] * n + cell[1]]
+            a, b = (u, v) if u < v else (v, u)
+            gap = b - a
+            key = a * size + b
+            if gap == n or (gap == 1 and b % n) or key in long_pairs:
+                continue
+            long_pairs.add(key)
+            append(EntangledLink(len(links), a, b))
 
-    network = make_network(ids, links)
-    graph = map_overlay(network, k=2, n=n, placement=dict(zip(ids, cells)))
-    return network, graph
+        network = make_network(ids, links)
+        graph = map_overlay(network, k=2, n=n, placement=dict(zip(ids, cells)))
+        return network, graph

@@ -165,15 +165,16 @@ def network_to_dict(network: OverlayNetwork) -> dict:
     }
 
 
-def network_from_dict(data: Mapping[str, Any]) -> OverlayNetwork:
-    _require(data, {"nodes", "links"}, "network")
-    for i, node in enumerate(_list(data["nodes"], "network.nodes")):
+def network_from_dict(data: Mapping[str, Any], context: str = "network") -> OverlayNetwork:
+    """The network block at field path context ("scenario.network" inline)."""
+    _require(data, {"nodes", "links"}, context)
+    for i, node in enumerate(_list(data["nodes"], f"{context}.nodes")):
         if type(node) is not int:  # bool is an int subclass, and no node id
-            raise ConfigError(f"network.nodes[{i}]: expected an integer, got {node!r}")
+            raise ConfigError(f"{context}.nodes[{i}]: expected an integer, got {node!r}")
     nodes = frozenset(data["nodes"])
     links = []
-    for i, record in enumerate(_list(data["links"], "network.links")):
-        where = f"network.links[{i}]"
+    for i, record in enumerate(_list(data["links"], f"{context}.links")):
+        where = f"{context}.links[{i}]"
         _require(record, _LINK_KEYS, where)
         # One chain tests all five integer fields; the loop only names the bad one.
         if not (type(record["id"]) is type(record["a"]) is type(record["b"])
@@ -186,7 +187,7 @@ def network_from_dict(data: Mapping[str, Any]) -> OverlayNetwork:
             raise ConfigError(f"{where}: {exc}") from exc
         for endpoint in link.endpoints:
             if endpoint not in nodes:
-                raise ConfigError(f"{where}: endpoint {endpoint} is not in network.nodes")
+                raise ConfigError(f"{where}: endpoint {endpoint} is not in {context}.nodes")
         links.append(link)
     return make_network(nodes, links)
 
@@ -212,15 +213,17 @@ def save_network(network: OverlayNetwork, path: PathLike) -> None:
 
 # -- base graph and placement -----------------------------------------------
 
-def placement_from_list(data: Any) -> dict[int, tuple[int, ...]]:
+def placement_from_list(data: Any,
+                        context: str = "placement") -> dict[int, tuple[int, ...]]:
+    """The placement list at field path context."""
     placement: dict[int, tuple[int, ...]] = {}
-    for i, record in enumerate(_list(data, "placement")):
-        _require(record, _PLACEMENT_KEYS, f"placement[{i}]")
+    for i, record in enumerate(_list(data, context)):
+        _require(record, _PLACEMENT_KEYS, f"{context}[{i}]")
         node, coords = record["node"], record["coords"]
         if type(node) is not int:  # bool is an int subclass, and no node id
-            raise ConfigError(f"placement[{i}].node: expected an integer, got {node!r}")
+            raise ConfigError(f"{context}[{i}].node: expected an integer, got {node!r}")
         if type(coords) is not list or any(type(c) is not int for c in coords):
-            _integer_list(coords, f"placement[{i}]", "coords")
+            _integer_list(coords, f"{context}[{i}]", "coords")
         placement[node] = tuple(coords)
     return placement
 
@@ -239,7 +242,8 @@ def base_graph_from_dict(
     return (
         _integer(data["k"], context, "k", minimum=1),
         _integer(data["n"], context, "n", minimum=2),
-        placement_from_list(data["placement"]) if "placement" in data else None,
+        (placement_from_list(data["placement"], f"{context}.placement")
+         if "placement" in data else None),
         _integer(data["seed"], context, "seed") if "seed" in data else None,
     )
 
@@ -257,19 +261,21 @@ def base_graph_to_dict(k: int, n: int,
 
 # -- thresholds --------------------------------------------------------------
 
-def thresholds_from_dict(data: Mapping[str, Any]) -> ThresholdPolicy:
-    _require(data, set(), "thresholds", optional={"default", "levels"})
+def thresholds_from_dict(data: Mapping[str, Any],
+                         context: str = "thresholds") -> ThresholdPolicy:
+    """The thresholds block at field path context."""
+    _require(data, set(), context, optional={"default", "levels"})
     levels = data.get("levels", {})
+    where = f"{context}.levels"
     if not isinstance(levels, dict):
-        raise ConfigError("thresholds.levels: expected an object")
+        raise ConfigError(f"{where}: expected an object")
     try:
         return ThresholdPolicy(
-            default=float(_number(data.get("default", 0.0), "thresholds", "default")),
-            per_level={int(l): float(_number(t, "thresholds.levels", l))
-                       for l, t in levels.items()},
+            default=float(_number(data.get("default", 0.0), context, "default")),
+            per_level={int(l): float(_number(t, where, l)) for l, t in levels.items()},
         )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"thresholds: {exc}") from exc
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def thresholds_to_dict(policy: ThresholdPolicy) -> dict:
@@ -363,11 +369,11 @@ def instance_from_dict(
     if ("network" in data) == ("network_file" in data):
         raise ConfigError("instance: provide exactly one of network, network_file")
     network_file = network_file_from_dict(data, "instance", base_dir)
-    network = (network_from_dict(data["network"]) if network_file is None
-               else load_network(network_file))
+    network = (network_from_dict(data["network"], "instance.network")
+               if network_file is None else load_network(network_file))
     k, n, placement, seed = base_graph_from_dict(data["base_graph"], "instance.base_graph")
     graph = map_overlay(network, k, n, placement=placement, seed=seed)
-    policy = thresholds_from_dict(data.get("thresholds", {}))
+    policy = thresholds_from_dict(data.get("thresholds", {}), "instance.thresholds")
     adapted = adapt(graph, network, policy, pstar_mode_from_dict(data, "instance"))
     demands = demands_from_list(data["demands"], "instance.demands")
 

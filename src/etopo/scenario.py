@@ -118,13 +118,14 @@ def scenario_from_dict(data: Mapping[str, Any], base_dir: Optional[Path] = None)
         seed=_integer(data["seed"], "scenario", "seed"),
         trials=_integer(data["trials"], "scenario", "trials", minimum=1),
         network_file=network_file_from_dict(data, "scenario", base_dir),
-        network_inline=network_from_dict(data["network"]) if "network" in data else None,
+        network_inline=(network_from_dict(data["network"], "scenario.network")
+                        if "network" in data else None),
         generator=(generator_from_dict(data["generator"], "scenario.generator")
                    if "generator" in data else None),
         k=k,
         n=n,
         placement=placement,
-        thresholds=thresholds_from_dict(data.get("thresholds", {})),
+        thresholds=thresholds_from_dict(data.get("thresholds", {}), "scenario.thresholds"),
         pstar_mode=pstar_mode_from_dict(data, "scenario"),
         demands=demands_from_list(data["demands"], "scenario.demands"),
         failures=tuple(

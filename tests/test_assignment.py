@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -218,6 +220,31 @@ class TestSolveExact:
         inst = build_instance(links, demands)
         with pytest.raises(TooLargeError):
             solve_exact(inst)
+
+    def test_walks_only_links_that_hold_states(self):
+        # One state on one link of K_9: a path over any stateless link
+        # yields no option, so the search reads a handful of adjacency
+        # rows, not one per simple path of K_9 (about 10^5).
+        class CountingRows(dict):
+            reads = 0
+
+            def get(self, key, default=None):
+                CountingRows.reads += 1
+                return super().get(key, default)
+
+        m = 9
+        links = [
+            EntangledLink(id=i, a=a, b=b, throughput=9.0)
+            for i, (a, b) in enumerate(itertools.combinations(range(m), 2))
+        ]
+        inst = build_instance(links, [Demand(user=0, source=0, target=1, rate=1.0)],
+                              resource_sets={0: ResourceSet(link=0, states=(0,))}, n=m)
+        adapted = dataclasses.replace(
+            inst.adapted, adjacency=CountingRows(inst.adapted.adjacency))
+        result = solve_exact(dataclasses.replace(inst, adapted=adapted))
+        assert result.feasible
+        assert result.solution.C == {(0, 0, 0)}
+        assert CountingRows.reads <= m
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(7)

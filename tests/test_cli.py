@@ -278,13 +278,25 @@ class TestAssign:
         (("interference", 0, "competing"), [[0, 0], [1, True]],
          "expected a list of integer pairs"),
         (("base_graph", "seed"), "x", "expected an integer"),
+        # each named its path from the nested block, not from the file
+        (("network", "nodes", 0), True, "expected an integer"),
+        (("network", "links", 0, "id"), "0", "expected an integer"),
+        (("thresholds",), 3, "expected an object"),
+        (("thresholds", "default"), "x", "expected a number"),
+        (("thresholds", "levels", "1"), None, "expected a number"),
+        (("base_graph", "placement", 0, "node"), "0", "expected an integer"),
+        (("base_graph", "placement", 0, "coords"), [0.5], "expected a list of integers"),
     ], ids=repr)
-    def test_malformed_field_names_its_path(self, instance_file, tmp_path, capsys,
-                                            field, value, message):
+    def test_malformed_field_names_its_path(self, instance_file, line_file, tmp_path,
+                                            capsys, field, value, message):
         payload = json.loads(instance_file.read_text())
         payload["base_graph"]["seed"] = 3
         payload["demands"].append({"user": 1, "source": 0, "target": 3, "rate": 1.0})
         payload["interference"] = [{"link": 0, "state": 0, "competing": [[0, 0], [1, 1]]}]
+        payload["thresholds"] = {"default": 0.0, "levels": {"1": 0.0}}
+        if field[0] == "network":
+            del payload["network_file"]
+            payload["network"] = json.loads(line_file.read_text())
         record = payload
         for key in field[:-1]:
             record = record[key]
@@ -409,18 +421,34 @@ class TestRun:
         (("generator", "num_nodes"), True),
         (("generator", "num_links"), 4.0),
         (("generator", "levels"), "12"),
+        (("network", "nodes"), {}),
+        (("network", "nodes", 0), "0"),
+        (("network", "links", 0, "resource_count"), "1"),
+        (("thresholds",), []),
+        (("thresholds", "default"), "x"),
+        (("thresholds", "levels"), 3),
+        (("base_graph", "placement", 0, "coords"), "x"),
+        (("base_graph", "placement", 0), {"node": 0}),
     ], ids=lambda v: repr(v))
-    def test_malformed_field_names_its_path(self, tmp_path, capsys, field, value):
+    def test_malformed_field_names_its_path(self, tmp_path, line_file, capsys,
+                                            field, value):
         payload = {
             "seed": 5, "trials": 1,
             "generator": {"num_nodes": 8, "num_links": 12},
-            "base_graph": {"k": 2, "n": 4},
+            "base_graph": {
+                "k": 2, "n": 4,
+                "placement": [{"node": i, "coords": [i // 4, i % 4]} for i in range(8)],
+            },
+            "thresholds": {"default": 0.0, "levels": {"1": 0.0}},
             "demands": [{"user": 0, "source": 0, "target": 3, "rate": 1.0}],
             "failures": [{"target": 1, "kind": "degrade-swap", "magnitude": 0.5,
                           "time": 0}],
         }
         if field == ("network_file",):
             del payload["generator"]
+        if field[0] == "network":
+            del payload["generator"]
+            payload["network"] = json.loads(line_file.read_text())
         record = payload
         for key in field[:-1]:
             record = record[key]

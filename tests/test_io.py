@@ -69,6 +69,15 @@ class TestNetworkRoundTrip:
         with pytest.raises(ConfigError, match="links\\[0\\]"):
             network_from_dict(data)
 
+    @pytest.mark.parametrize("context", [None, "scenario.network"])
+    def test_endpoint_outside_nodes_names_the_block(self, context):
+        data = network_to_dict(make_network([0, 1], [EntangledLink(id=0, a=0, b=1)]))
+        data["links"][0]["b"] = 9
+        where = context or "network"
+        message = f"^{where}.links\\[0\\]: endpoint 9 is not in {where}.nodes$"
+        with pytest.raises(ConfigError, match=message):
+            network_from_dict(data, *([context] if context else []))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_network(tmp_path / "absent.json")

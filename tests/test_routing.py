@@ -142,8 +142,11 @@ class TestAdaptedAdjacency:
         )
         source, target = rng.sample(sorted(small_graph.placement), 2)
         instance = _path_instance(small, small_graph, small_adapted)
-        assert enumerate_simple_paths(instance, source, target) == (
-            reference_simple_paths(small_graph, small_adapted, source, target))
+        paths = reference_simple_paths(small_graph, small_adapted, source, target)
+        assert enumerate_simple_paths(instance, source, target) == paths
+        only = {lid for lid in sorted(small_adapted.links) if rng.random() < 0.5}
+        assert enumerate_simple_paths(instance, source, target, only) == [
+            path for path in paths if only.issuperset(path[1])]
 
     def test_foreign_graph_is_rejected(self):
         net, graph, adapted = line_setup()

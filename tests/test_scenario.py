@@ -1,8 +1,10 @@
 import collections
+import gc
 import hashlib
 
 import pytest
 
+import etopo.generate
 from etopo import (
     ConfigError,
     Demand,
@@ -282,6 +284,41 @@ class TestGenerators:
         assert net.nodes == ref_net.nodes
         assert graph.placement == ref_graph.placement
         assert graph.contacts == ref_graph.contacts
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collector(self, request):
+        """The cyclic collector's state for the test, restored after it."""
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_kleinberg_lattice_restores_the_collector(self, collector):
+        kleinberg_lattice(8, seed=3)
+        assert gc.isenabled() is collector
+
+    def test_kleinberg_lattice_restores_the_collector_when_it_raises(
+        self, collector, monkeypatch
+    ):
+        seen = []
+
+        def failing_map_overlay(*args, **kwargs):
+            seen.append(gc.isenabled())
+            raise RuntimeError("map_overlay failed")
+
+        monkeypatch.setattr(etopo.generate, "map_overlay", failing_map_overlay)
+        with pytest.raises(RuntimeError, match="map_overlay failed"):
+            kleinberg_lattice(8, seed=3)
+        assert seen == [False]  # paused through map_overlay
+        assert gc.isenabled() is collector
+
+    def test_kleinberg_lattice_builds_no_cycles(self):
+        # Why pausing the collector loses nothing: the build leaves no
+        # unreachable cycle for it to find.
+        gc.collect()
+        net, graph = kleinberg_lattice(64, seed=7)
+        assert gc.collect() == 0
+        assert len(net.links) == 11042 and len(graph.placement) == 64 * 64
 
     # Counts 0 .. slots // 3 and slots make random.sample copy the slot
     # range into a list; 5 and slots // 30 (from 10 nodes on) make it draw
