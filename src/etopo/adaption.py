@@ -13,7 +13,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, KeysView, Mapping
 
-from .basegraph import BaseGraph, best_link
+from .basegraph import BaseGraph
 from .errors import NotConnectedError
 from .overlay import EntangledLink, LinkId, NodeId, OverlayNetwork
 
@@ -129,7 +129,6 @@ def updated_probability(
     links = network.links_between(x, y)
     if not links:
         raise NotConnectedError(f"no entangled link between nodes {x} and {y}")
-    best_link(network, x, y)  # raises consistently when the pair is unmapped
     p_star = _p_star(links, policy, mode)
     return max(p_star.get(l.id, 0.0) for l in links)
 

@@ -39,6 +39,8 @@ RouteMemo = MutableMapping[tuple[NodeId, NodeId], RoutingOutcome]
 
 # Largest instance, in binary variables, that solve_exact accepts.
 BNB_VARIABLE_CAP = 40
+# Most (path, state per link) options that solve_exact lists for one demand.
+OPTION_CAP = 200_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -381,11 +383,10 @@ def _demand_options(
     instance: AssignmentInstance,
     qid: DemandId,
     usable: Mapping[LinkId, list[ResourceRef]],
-    option_cap: int = 200_000,
 ) -> list[_Option]:
     """The demand's options in (cost, entries) order, each link of a path
     taking one of its usable (link, state) entries. TooLargeError when
-    all states of the links would give more than option_cap options."""
+    all states of the links would give more than OPTION_CAP options."""
     demand = instance.demand(qid)
     options: list[_Option] = []
     total = 0
@@ -394,35 +395,13 @@ def _demand_options(
     stated = {lid for lid, rs in instance.resource_sets.items() if rs.states}
     for _, links in enumerate_simple_paths(instance, demand.source, demand.target, stated):
         total += math.prod(len(instance.states_of(lid)) for lid in links)
-        if total > option_cap:
-            raise TooLargeError(f"demand {qid} has more than {option_cap} serving options")
+        if total > OPTION_CAP:
+            raise TooLargeError(f"demand {qid} has more than {OPTION_CAP} serving options")
         cost = sum(1.0 - instance.adapted.link_p_star(lid) for lid in links)
         combos = itertools.product(*(usable.get(lid, ()) for lid in links))
         options.extend(_Option(cost, combo) for combo in combos)
     options.sort()
     return options
-
-
-def solve_exact(
-    instance: AssignmentInstance, bnb_cap: int = BNB_VARIABLE_CAP
-) -> SolveResult:
-    """Minimum-cost assignment serving every demand, or infeasible.
-
-    Branch-and-bound over per-demand path options solves instances of at
-    most bnb_cap binary variables. Larger instances raise TooLargeError;
-    use solve_greedy there.
-
-    Equal-cost optima are broken by a fixed rule, not by search order: of
-    the assignments with the minimum total cost, the result is the one
-    whose sequence of per-demand (path cost, (link, state) entries in path
-    order), taken in demand-id order, is lexicographically smallest.
-    """
-    n_vars = instance.n_variables()
-    if n_vars > bnb_cap:
-        raise TooLargeError(
-            f"instance has {n_vars} binary variables, above the cap of {bnb_cap}"
-        )
-    return _solve_branch_and_bound(instance)
 
 
 def _result(instance: AssignmentInstance, C: Optional[frozenset[CTriple]]) -> SolveResult:
@@ -458,9 +437,27 @@ def _rivals(
     return {key: frozenset(qids) for key, qids in rivals.items() if qids}
 
 
-def _solve_branch_and_bound(instance: AssignmentInstance) -> SolveResult:
+def solve_exact(
+    instance: AssignmentInstance, bnb_cap: int = BNB_VARIABLE_CAP
+) -> SolveResult:
+    """Minimum-cost assignment serving every demand, or infeasible.
+
+    Branch-and-bound over per-demand path options solves instances of at
+    most bnb_cap binary variables. Larger instances raise TooLargeError;
+    use solve_greedy there.
+
+    Equal-cost optima are broken by a fixed rule, not by search order: of
+    the assignments with the minimum total cost, the result is the one
+    whose sequence of per-demand (path cost, (link, state) entries in path
+    order), taken in demand-id order, is lexicographically smallest.
+    """
+    n_vars = instance.n_variables()
+    if n_vars > bnb_cap:
+        raise TooLargeError(
+            f"instance has {n_vars} binary variables, above the cap of {bnb_cap}"
+        )
     # Demands in id order, options in (cost, entries) order and >= pruning
-    # keep the first optimum found: the tie-break solve_exact documents.
+    # keep the first optimum found: the tie-break documented above.
     order = list(range(len(instance.demands)))
     rate = {qid: instance.demand(qid).rate for qid in order}
     capacity = {link.id: link.throughput for link in instance.network.links}
@@ -566,8 +563,11 @@ def solve_greedy(
     Demands are admitted in order of descending rate (ties by user index);
     demands that cannot be served with the remaining resources are
     rejected, and the result is infeasible when any rejection occurs.
-    States are consumed exclusively here, which is stricter than the exact
-    solver's constraint set but never violates it.
+    A served demand takes, on each link of its walk, the lowest state id
+    no earlier served demand holds, so the states taken on a link are
+    always the first ones in sorted order. No state is shared, which is
+    stricter than the exact solver's constraint set but never violates it:
+    in particular no interference set is ever granted twice.
 
     routes memoizes route() by (source, target) for the demand routes and
     the spill re-routes: the solver reads outcomes from it and adds those
@@ -579,40 +579,73 @@ def solve_greedy(
     """
     if routes is None:
         routes = {}
-    order = sorted(
-        range(len(instance.demands)),
-        key=lambda q: (-instance.demand(q).rate, instance.demand(q).user),
-    )
-    taken: set[ResourceRef] = set()
+    adjacency = instance.adapted.adjacency_on(instance.graph)
+    capacity = {link.id: link.throughput for link in instance.network.links}
+    # States taken and rate carried per link, by served demands only. A
+    # demand's walk is node-simple and every link it asks for leads off
+    # the walk, so it never asks twice for one link or for one it holds.
+    used: dict[LinkId, int] = {}
     load: dict[LinkId, float] = {}
     C: set[CTriple] = set()
     served: list[DemandId] = []
     rejected: list[DemandId] = []
-
-    def pick_state(qid: DemandId, link: LinkId, pending: set[ResourceRef]) -> Optional[StateId]:
-        demand = instance.demand(qid)
-        capacity = instance.network.link_by_id(link).throughput
-        if load.get(link, 0.0) + demand.rate > capacity:
-            return None
-        for state in sorted(instance.states_of(link)):
-            ref = (link, state)
-            # A state held by no other demand cannot interfere.
-            if ref in taken or ref in pending:
-                continue
-            return state
-        return None
-
+    order = sorted(
+        range(len(instance.demands)),
+        key=lambda q: (-instance.demand(q).rate, instance.demand(q).user),
+    )
     for qid in order:
         demand = instance.demand(qid)
-        assignment = _greedy_serve(instance, qid, pick_state, routes)
-        if assignment is None:
+        rate = demand.rate
+        pair = (demand.source, demand.target)
+        outcome = routes.get(pair)
+        if outcome is None:
+            outcome = routes[pair] = route(instance.graph, instance.adapted, *pair)
+        if not outcome.found:
+            rejected.append(qid)
+            continue
+        nodes, links = outcome.path.nodes, outcome.path.links
+        current = demand.source
+        walked = {current}
+        hops: list[LinkId] = []
+        i = 0
+        while i < len(links):
+            link = links[i]
+            if (used.get(link, 0) < len(instance.states_of(link))
+                    and load.get(link, 0.0) + rate <= capacity[link]):
+                hops.append(link)
+                current = nodes[i + 1]
+                walked.add(current)
+                i += 1
+                continue
+            # The link has no state or capacity left here: spill onto another
+            # link of this intermediate node and route onward from its far
+            # endpoint. The full link fails the test below again, and the
+            # link just walked leads back onto the walk.
+            for nbr, alt in adjacency.get(current, ()):
+                if (nbr in walked or used.get(alt, 0) >= len(instance.states_of(alt))
+                        or load.get(alt, 0.0) + rate > capacity[alt]):
+                    continue
+                pair = (nbr, demand.target)
+                onward = routes.get(pair)
+                if onward is None:
+                    onward = routes[pair] = route(instance.graph, instance.adapted, *pair)
+                if onward.found and walked.isdisjoint(onward.path.nodes):
+                    hops.append(alt)
+                    current = nbr
+                    walked.add(current)
+                    nodes, links, i = onward.path.nodes, onward.path.links, 0
+                    break
+            else:
+                break  # no link leads on
+        if i < len(links):
             rejected.append(qid)
             continue
         served.append(qid)
-        for link, state in assignment:
-            C.add((demand.user, link, state))
-            taken.add((link, state))
-            load[link] = load.get(link, 0.0) + demand.rate
+        for link in hops:
+            n = used.get(link, 0)
+            C.add((demand.user, link, sorted(instance.states_of(link))[n]))
+            used[link] = n + 1
+            load[link] = load.get(link, 0.0) + rate
 
     solution = AssignmentSolution.from_C(instance, frozenset(C))
     status = SolveStatus.FEASIBLE if not rejected else SolveStatus.INFEASIBLE
@@ -623,72 +656,3 @@ def solve_greedy(
         served=tuple(sorted(served)),
         rejected=tuple(sorted(rejected)),
     )
-
-
-def _route_once(
-    instance: AssignmentInstance, routes: RouteMemo, source: NodeId, target: NodeId
-) -> RoutingOutcome:
-    outcome = routes.get((source, target))
-    if outcome is None:
-        outcome = route(instance.graph, instance.adapted, source, target)
-        routes[(source, target)] = outcome
-    return outcome
-
-
-def _greedy_serve(
-    instance: AssignmentInstance,
-    qid: DemandId,
-    pick_state,
-    routes: RouteMemo,
-) -> Optional[list[tuple[LinkId, StateId]]]:
-    demand = instance.demand(qid)
-    outcome = _route_once(instance, routes, demand.source, demand.target)
-    if not outcome.found:
-        return None
-    adjacency = instance.adapted.adjacency_on(instance.graph)
-    nodes = list(outcome.path.nodes)
-    links = list(outcome.path.links)
-    path_nodes = [demand.source]
-    pending: set[ResourceRef] = set()
-    assignment: list[tuple[LinkId, StateId]] = []
-    arrived_by: Optional[LinkId] = None
-    i = 0
-    while i < len(links):
-        current = path_nodes[-1]
-        link = links[i]
-        state = pick_state(qid, link, pending)
-        if state is not None:
-            assignment.append((link, state))
-            pending.add((link, state))
-            path_nodes.append(nodes[i + 1])
-            arrived_by = link
-            i += 1
-            continue
-        # The link's states are exhausted here: spill onto another link of
-        # this intermediate node and route onward from its far endpoint.
-        spilled = False
-        for nbr, alt in adjacency.get(current, ()):
-            if alt == link or alt == arrived_by:
-                continue
-            if nbr in path_nodes:
-                continue
-            alt_state = pick_state(qid, alt, pending)
-            if alt_state is None:
-                continue
-            onward = _route_once(instance, routes, nbr, demand.target)
-            if not onward.found:
-                continue
-            if any(n in path_nodes for n in onward.path.nodes[1:]):
-                continue
-            assignment.append((alt, alt_state))
-            pending.add((alt, alt_state))
-            path_nodes.append(nbr)
-            nodes = list(onward.path.nodes)
-            links = list(onward.path.links)
-            arrived_by = alt
-            i = 0
-            spilled = True
-            break
-        if not spilled:
-            return None
-    return assignment

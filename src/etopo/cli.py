@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: generate, adapt, route, assign, run, reduce-coloring,
-bench-routing. Exit codes: 0 success, 1 configuration error, 2 only
-infeasible results, 3 internal error. The ETOPO_SEED environment variable
-overrides any configured or flagged seed.
+bench-routing. Exit codes: 0 success, 1 configuration error (a malformed
+command line too), 2 only infeasible results, 3 internal error. The
+ETOPO_SEED environment variable overrides any configured or flagged seed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .adaption import PStarMode, ThresholdPolicy, adapt
 from .assignment import SolveStatus, solve_exact, solve_greedy, validate_instance
@@ -227,8 +227,17 @@ def _cmd_bench_routing(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, exiting 1 instead of 2 on a malformed command line,
+    since 2 means an infeasible result. Subparsers are built from it too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="etopo",
         description="Entangled-network topology adaption, routing, and assignment.",
     )

@@ -173,6 +173,7 @@ def network_from_dict(data: Mapping[str, Any], context: str = "network") -> Over
             raise ConfigError(f"{context}.nodes[{i}]: expected an integer, got {node!r}")
     nodes = frozenset(data["nodes"])
     links = []
+    ids: set[int] = set()
     for i, record in enumerate(_list(data["links"], f"{context}.links")):
         where = f"{context}.links[{i}]"
         _require(record, _LINK_KEYS, where)
@@ -188,6 +189,10 @@ def network_from_dict(data: Mapping[str, Any], context: str = "network") -> Over
         for endpoint in link.endpoints:
             if endpoint not in nodes:
                 raise ConfigError(f"{where}: endpoint {endpoint} is not in {context}.nodes")
+        # A repeated id leaves the set one short of the records read so far.
+        ids.add(link.id)
+        if len(ids) == i:
+            raise ConfigError(f"{where}.id: link id {link.id} appears more than once")
         links.append(link)
     return make_network(nodes, links)
 
@@ -225,6 +230,8 @@ def placement_from_list(data: Any,
         if type(coords) is not list or any(type(c) is not int for c in coords):
             _integer_list(coords, f"{context}[{i}]", "coords")
         placement[node] = tuple(coords)
+        if len(placement) == i:  # the record replaced an earlier one
+            raise ConfigError(f"{context}[{i}].node: node {node} is placed more than once")
     return placement
 
 
@@ -392,6 +399,8 @@ def instance_from_dict(
             resource_sets[link] = ResourceSet(link=link, states=tuple(states))
         except ValueError as exc:
             raise ConfigError(f"{where}.states: {exc}") from exc
+        if len(resource_sets) == i:  # the record replaced an earlier one
+            raise ConfigError(f"{where}.link: link {link} has more than one resource set")
     interference = []
     for i, record in enumerate(_list(data.get("interference", []), "instance.interference")):
         where = f"instance.interference[{i}]"

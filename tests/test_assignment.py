@@ -26,7 +26,12 @@ from etopo import (
     solve_greedy,
     validate_instance,
 )
-from util import oracle_solve, random_instance
+from util import (
+    greedy_scenario_payload,
+    oracle_solve,
+    random_instance,
+    reference_solve_greedy,
+)
 
 
 def build_instance(links, demands, resource_sets=None, interference=(),
@@ -394,3 +399,45 @@ class TestSolveGreedy:
                 assert outcome == route(inst.graph, inst.adapted, source, target)
             # A memo already filled by an earlier call is read, not re-walked.
             assert solve_greedy(inst, routes) == expected
+
+    def test_matches_reference(self, monkeypatch):
+        import etopo.scenario
+        from etopo import run_scenario, scenario_from_dict
+
+        instances = [parallel_greedy_instance(), spill_greedy_instance(),
+                     unroutable_greedy_instance(), *random_greedy_instances()]
+        # Larger draws than the oracle tests take: more demands than states,
+        # so links run out and demands spill or are rejected.
+        rng = random.Random(31)
+        drawn = 0
+        while drawn < 60:
+            inst = random_instance(rng, max_users=6, max_links=8, max_states=2,
+                                   option_product_cap=10**12)
+            if inst is not None:
+                # Files may list a link's states in any order.
+                reversed_sets = {lid: ResourceSet(lid, rs.states[::-1])
+                                 for lid, rs in inst.resource_sets.items()}
+                instances += [inst, dataclasses.replace(inst, resource_sets=reversed_sets)]
+                drawn += 1
+        build = etopo.scenario.build_trial_instance
+        trials = []
+
+        def keep(*args, **kwargs):
+            built = build(*args, **kwargs)
+            trials.append(built[0])
+            return built
+
+        monkeypatch.setattr(etopo.scenario, "build_trial_instance", keep)
+        run_scenario(scenario_from_dict(greedy_scenario_payload()))
+        assert len(trials) == 2
+        instances.extend(trials)
+
+        rejections = 0
+        for inst in instances:
+            routes, reference_routes = {}, {}
+            result = solve_greedy(inst, routes)
+            assert result == reference_solve_greedy(inst, reference_routes)
+            # The same pairs are walked, in the same order.
+            assert list(routes.items()) == list(reference_routes.items())
+            rejections += len(result.rejected)
+        assert rejections > 0

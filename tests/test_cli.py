@@ -223,6 +223,28 @@ class TestRoute:
         assert code == EXIT_CONFIG
         assert "network.links[1]" in capsys.readouterr().err
 
+    def test_repeated_link_id(self, tmp_path, capsys):
+        # was accepted: the route from 0 to 2 ran over links [0, 0]
+        links = [EntangledLink(id=0, a=0, b=1), EntangledLink(id=0, a=1, b=2)]
+        path = tmp_path / "net.json"
+        save_network(make_network([0, 1, 2], links), path)
+        code = main(["route", str(path), "--k", "1", "--n", "3",
+                     "--source", "0", "--target", "2"])
+        assert code == EXIT_CONFIG
+        assert ("error: network.links[1].id: link id 0 appears more than once"
+                in capsys.readouterr().err)
+
+    def test_repeated_placement_node(self, line_file, tmp_path, capsys):
+        # was accepted: the last record moved node 0
+        path = tmp_path / "placement.json"
+        path.write_text(json.dumps(
+            [{"node": i, "coords": [i]} for i in range(4)] + [{"node": 0, "coords": [4]}]))
+        code = main(["route", str(line_file), "--k", "1", "--n", "5",
+                     "--placement", str(path), "--source", "0", "--target", "3"])
+        assert code == EXIT_CONFIG
+        assert ("error: placement[4].node: node 0 is placed more than once"
+                in capsys.readouterr().err)
+
 
 @pytest.fixture
 def instance_file(tmp_path, line_file):
@@ -308,6 +330,16 @@ class TestAssign:
             f"[{key}]" if isinstance(key, int) else f".{key}" for key in field
         )
         assert f"error: {where}: {message}" in capsys.readouterr().err
+
+    def test_repeated_resource_set(self, instance_file, tmp_path, capsys):
+        # was accepted: the last record replaced the first
+        payload = json.loads(instance_file.read_text())
+        payload["resource_sets"].append({"link": 0, "states": [0]})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["assign", str(path)]) == EXIT_CONFIG
+        assert ("error: instance.resource_sets[3].link: link 0 has more than one "
+                "resource set" in capsys.readouterr().err)
 
     def test_bad_pstar_mode(self, instance_file, tmp_path, capsys):
         payload = json.loads(instance_file.read_text())
@@ -549,3 +581,24 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == EXIT_OK
     assert done.stdout.startswith("usage: etopo ")
     assert "bench-routing" in done.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["route", "net.json", "--k", "abc", "--source", "0", "--target", "1"],
+     "argument --k: invalid int value: 'abc'"),
+    (["assign", "x.json", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["bogus"], "invalid choice: 'bogus'"),
+], ids=["bad-value", "unknown-flag", "unknown-command"])
+def test_malformed_command_line_is_a_config_error(capsys, argv, message):
+    # each exited 2, the code of an infeasible result
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_subcommand_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["route", "--help"])
+    assert exit_.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: etopo route ")

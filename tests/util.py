@@ -16,6 +16,7 @@ from typing import Optional
 
 from etopo import (
     AssignmentInstance,
+    AssignmentSolution,
     ConfigError,
     Demand,
     EntangledLink,
@@ -28,12 +29,25 @@ from etopo import (
     ResourceSet,
     RouteStatus,
     RoutingOutcome,
+    SolveResult,
+    SolveStatus,
     ThresholdPolicy,
     adapt,
     l1_distance,
     link_existence_probability,
     make_network,
     map_overlay,
+    objective,
+    route,
+)
+from etopo.assignment import (
+    CTriple,
+    DemandId,
+    LinkId,
+    NodeId,
+    ResourceRef,
+    RouteMemo,
+    StateId,
 )
 
 DENOM = 64
@@ -579,3 +593,149 @@ def greedy_scenario_payload() -> dict:
         "demands": demands,
         "failures": failures,
     }
+
+
+# -- reference greedy solver --------------------------------------------------
+#
+# The greedy solver as it was before it kept one state count per link: it
+# re-sorts a link's states on every pick, skips the ones taken by served
+# demands or pending in the demand's own walk, and serves each demand
+# through a pick_state callback. solve_greedy must return the same
+# SolveResult for every instance and route memo.
+
+
+def reference_solve_greedy(
+    instance: AssignmentInstance, routes: Optional[RouteMemo] = None
+) -> SolveResult:
+    """Serve demands one by one along greedy routes, spilling onto alternate
+    links of an intermediate node when a link's states run out.
+
+    Demands are admitted in order of descending rate (ties by user index);
+    demands that cannot be served with the remaining resources are
+    rejected, and the result is infeasible when any rejection occurs.
+    States are consumed exclusively here, which is stricter than the exact
+    solver's constraint set but never violates it.
+
+    routes memoizes route() by (source, target) for the demand routes and
+    the spill re-routes: the solver reads outcomes from it and adds those
+    it walks. route() depends only on the graph, the adapted set and the
+    pair, so the memo changes no result. The caller owns it and must fill
+    it from this instance's graph and adapted set only (run_scenario hands
+    in the routes of the trial that built the instance). Without one, the
+    solver keeps its own for the length of the call.
+    """
+    if routes is None:
+        routes = {}
+    order = sorted(
+        range(len(instance.demands)),
+        key=lambda q: (-instance.demand(q).rate, instance.demand(q).user),
+    )
+    taken: set[ResourceRef] = set()
+    load: dict[LinkId, float] = {}
+    C: set[CTriple] = set()
+    served: list[DemandId] = []
+    rejected: list[DemandId] = []
+
+    def pick_state(qid: DemandId, link: LinkId, pending: set[ResourceRef]) -> Optional[StateId]:
+        demand = instance.demand(qid)
+        capacity = instance.network.link_by_id(link).throughput
+        if load.get(link, 0.0) + demand.rate > capacity:
+            return None
+        for state in sorted(instance.states_of(link)):
+            ref = (link, state)
+            # A state held by no other demand cannot interfere.
+            if ref in taken or ref in pending:
+                continue
+            return state
+        return None
+
+    for qid in order:
+        demand = instance.demand(qid)
+        assignment = _reference_greedy_serve(instance, qid, pick_state, routes)
+        if assignment is None:
+            rejected.append(qid)
+            continue
+        served.append(qid)
+        for link, state in assignment:
+            C.add((demand.user, link, state))
+            taken.add((link, state))
+            load[link] = load.get(link, 0.0) + demand.rate
+
+    solution = AssignmentSolution.from_C(instance, frozenset(C))
+    status = SolveStatus.FEASIBLE if not rejected else SolveStatus.INFEASIBLE
+    return SolveResult(
+        status=status,
+        solution=solution,
+        objective=objective(instance, solution) if not rejected else None,
+        served=tuple(sorted(served)),
+        rejected=tuple(sorted(rejected)),
+    )
+
+
+def _reference_route_once(
+    instance: AssignmentInstance, routes: RouteMemo, source: NodeId, target: NodeId
+) -> RoutingOutcome:
+    outcome = routes.get((source, target))
+    if outcome is None:
+        outcome = route(instance.graph, instance.adapted, source, target)
+        routes[(source, target)] = outcome
+    return outcome
+
+
+def _reference_greedy_serve(
+    instance: AssignmentInstance,
+    qid: DemandId,
+    pick_state,
+    routes: RouteMemo,
+) -> Optional[list[tuple[LinkId, StateId]]]:
+    demand = instance.demand(qid)
+    outcome = _reference_route_once(instance, routes, demand.source, demand.target)
+    if not outcome.found:
+        return None
+    adjacency = instance.adapted.adjacency_on(instance.graph)
+    nodes = list(outcome.path.nodes)
+    links = list(outcome.path.links)
+    path_nodes = [demand.source]
+    pending: set[ResourceRef] = set()
+    assignment: list[tuple[LinkId, StateId]] = []
+    arrived_by: Optional[LinkId] = None
+    i = 0
+    while i < len(links):
+        current = path_nodes[-1]
+        link = links[i]
+        state = pick_state(qid, link, pending)
+        if state is not None:
+            assignment.append((link, state))
+            pending.add((link, state))
+            path_nodes.append(nodes[i + 1])
+            arrived_by = link
+            i += 1
+            continue
+        # The link's states are exhausted here: spill onto another link of
+        # this intermediate node and route onward from its far endpoint.
+        spilled = False
+        for nbr, alt in adjacency.get(current, ()):
+            if alt == link or alt == arrived_by:
+                continue
+            if nbr in path_nodes:
+                continue
+            alt_state = pick_state(qid, alt, pending)
+            if alt_state is None:
+                continue
+            onward = _reference_route_once(instance, routes, nbr, demand.target)
+            if not onward.found:
+                continue
+            if any(n in path_nodes for n in onward.path.nodes[1:]):
+                continue
+            assignment.append((alt, alt_state))
+            pending.add((alt, alt_state))
+            path_nodes.append(nbr)
+            nodes = list(onward.path.nodes)
+            links = list(onward.path.links)
+            arrived_by = alt
+            i = 0
+            spilled = True
+            break
+        if not spilled:
+            return None
+    return assignment
