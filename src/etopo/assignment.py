@@ -130,51 +130,49 @@ class AssignmentInstance:
 
 
 def validate_instance(instance: AssignmentInstance) -> list[Violation]:
-    """Structural checks: link membership, state sizes, user uniqueness."""
+    """Structural checks: link membership, state sizes, user uniqueness. Each
+    message starts with the field path of its record in an instance file."""
     violations: list[Violation] = []
-    users = [d.user for d in instance.demands]
-    if len(set(users)) != len(users):
-        violations.append(
-            Violation("duplicate-user", users, "each user index may carry only one demand")
-        )
-    for d in instance.demands:
-        for node in (d.source, d.target):
-            if node not in instance.graph.placement:
-                violations.append(
-                    Violation("unmapped-node", node, f"demand endpoint {node} is not placed")
-                )
-    for link_id, rs in instance.resource_sets.items():
-        if link_id not in instance.adapted.links:
-            violations.append(
-                Violation("link-outside-adapted", link_id,
-                          f"resource set references link {link_id} outside the adapted set")
-            )
+
+    def report(code: str, subject: object, path: str, message: str) -> None:
+        violations.append(Violation(code, subject, f"instance{path}: {message}"))
+
+    placement, adapted = instance.graph.placement, instance.adapted.links
+    users: set[UserId] = set()
+    for qid, d in enumerate(instance.demands):
+        users.add(d.user)
+        if len(users) == qid:  # the user already had an earlier demand
+            report("duplicate-user", [e.user for e in instance.demands],
+                   f".demands[{qid}].user", f"user {d.user} already has a demand")
+        if d.source not in placement:
+            report("unmapped-node", d.source, f".demands[{qid}].source",
+                   f"demand endpoint {d.source} is not placed")
+        if d.target not in placement:
+            report("unmapped-node", d.target, f".demands[{qid}].target",
+                   f"demand endpoint {d.target} is not placed")
+    for i, (link_id, rs) in enumerate(instance.resource_sets.items()):
         try:
             link = instance.network.link_by_id(link_id)
         except NotFoundError:
-            violations.append(Violation("unknown-link", link_id, f"link {link_id} not in network"))
+            report("unknown-link", link_id, f".resource_sets[{i}].link",
+                   f"link {link_id} not in network")
             continue
+        if link_id not in adapted:
+            report("link-outside-adapted", link_id, f".resource_sets[{i}].link",
+                   f"link {link_id} is outside the adapted set")
         if len(rs.states) != link.resource_count:
-            violations.append(
-                Violation(
-                    "resource-count-mismatch", link_id,
-                    f"link {link_id} stores {link.resource_count} states but the "
-                    f"resource set lists {len(rs.states)}",
-                )
-            )
+            report("resource-count-mismatch", link_id, f".resource_sets[{i}].states",
+                   f"link {link_id} stores {link.resource_count} states, "
+                   f"the set lists {len(rs.states)}")
     known = {(d.user, qid) for qid, d in enumerate(instance.demands)}
-    for iset in instance.interference:
+    for i, iset in enumerate(instance.interference):
         if iset.state not in instance.states_of(iset.link):
-            violations.append(
-                Violation("unknown-state", iset.resource,
-                          f"interference set references missing state {iset.resource}")
-            )
-        for entry in iset.competing:
+            report("unknown-state", iset.resource, f".interference[{i}].state",
+                   f"link {iset.link} has no state {iset.state}")
+        for j, entry in enumerate(iset.competing):
             if entry not in known:
-                violations.append(
-                    Violation("unknown-demand", entry,
-                              f"interference set references unknown demand {entry}")
-                )
+                report("unknown-demand", entry, f".interference[{i}].competing[{j}]",
+                       f"user {entry[0]} has no demand {entry[1]}")
     return violations
 
 

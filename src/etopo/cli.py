@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NoReturn, Optional
 
 from .adaption import PStarMode, ThresholdPolicy, adapt
-from .assignment import SolveStatus, solve_exact, solve_greedy, validate_instance
+from .assignment import SolveStatus, solve_exact, solve_greedy
 from .basegraph import map_overlay
 from .coloring import reduction_from_coloring
 from .errors import ConfigError, EtopoError, TooLargeError
@@ -159,11 +159,6 @@ def _cmd_route(args) -> int:
 
 def _cmd_assign(args) -> int:
     instance = load_instance(args.instance)
-    violations = validate_instance(instance)
-    if violations:
-        raise ConfigError(
-            "; ".join(f"{v.code}: {v.message}" for v in violations)
-        )
     if args.solver == "greedy":
         result = solve_greedy(instance)
     elif args.solver == "exact":

@@ -54,9 +54,10 @@ class GeneratorParams:
             if value < minimum:
                 raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
         if (not isinstance(self.levels, (tuple, list)) or not self.levels
-                or any(type(l) is not int or l < 1 for l in self.levels)):
+                or any(type(l) is not int or l < 1 for l in self.levels)
+                or len(set(self.levels)) != len(self.levels)):  # one link per pair and level
             raise ConfigError(
-                f"levels: expected a nonempty list of integers >= 1, got {self.levels!r}"
+                f"levels: expected a nonempty list of distinct integers >= 1, got {self.levels!r}"
             )
         for name in ("swap_range", "loss_range", "fidelity_range"):
             _check_range(name, getattr(self, name), (int, float), 1)

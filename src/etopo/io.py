@@ -20,6 +20,7 @@ from .assignment import (
     InterferenceSet,
     ResourceSet,
     SolveResult,
+    validate_instance,
 )
 from .basegraph import map_overlay
 from .coloring import ConflictGraph, make_conflict_graph
@@ -31,6 +32,7 @@ from .overlay import (
     FailureKind,
     OverlayNetwork,
     make_network,
+    validate,
 )
 
 PathLike = Union[str, Path]
@@ -171,9 +173,7 @@ def network_from_dict(data: Mapping[str, Any], context: str = "network") -> Over
     for i, node in enumerate(_list(data["nodes"], f"{context}.nodes")):
         if type(node) is not int:  # bool is an int subclass, and no node id
             raise ConfigError(f"{context}.nodes[{i}]: expected an integer, got {node!r}")
-    nodes = frozenset(data["nodes"])
     links = []
-    ids: set[int] = set()
     for i, record in enumerate(_list(data["links"], f"{context}.links")):
         where = f"{context}.links[{i}]"
         _require(record, _LINK_KEYS, where)
@@ -186,15 +186,12 @@ def network_from_dict(data: Mapping[str, Any], context: str = "network") -> Over
             link = EntangledLink(**record)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        for endpoint in link.endpoints:
-            if endpoint not in nodes:
-                raise ConfigError(f"{where}: endpoint {endpoint} is not in {context}.nodes")
-        # A repeated id leaves the set one short of the records read so far.
-        ids.add(link.id)
-        if len(ids) == i:
-            raise ConfigError(f"{where}.id: link id {link.id} appears more than once")
         links.append(link)
-    return make_network(nodes, links)
+    network = make_network(data["nodes"], links)
+    violations = validate(network, context)
+    if violations:
+        raise ConfigError("; ".join(v.message for v in violations))
+    return network
 
 
 def load_network(path: PathLike) -> OverlayNetwork:
@@ -270,19 +267,25 @@ def base_graph_to_dict(k: int, n: int,
 
 def thresholds_from_dict(data: Mapping[str, Any],
                          context: str = "thresholds") -> ThresholdPolicy:
-    """The thresholds block at field path context."""
+    """The thresholds block at field path context. Each levels key is a
+    level, an integer >= 1 in decimal digits without leading zeros, so no
+    two keys name one level."""
     _require(data, set(), context, optional={"default", "levels"})
     levels = data.get("levels", {})
     where = f"{context}.levels"
     if not isinstance(levels, dict):
         raise ConfigError(f"{where}: expected an object")
+    for key in levels:
+        if not (key.isascii() and key.isdigit() and key[0] != "0"):
+            raise ConfigError(f"{where}.{key}: expected an integer level >= 1 "
+                              f"without leading zeros")
     try:
         return ThresholdPolicy(
             default=float(_number(data.get("default", 0.0), context, "default")),
             per_level={int(l): float(_number(t, where, l)) for l, t in levels.items()},
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+    except ValueError as exc:  # the policy's range check names the key first
+        raise ConfigError(f"{context}.{exc}") from exc
 
 
 def thresholds_to_dict(policy: ThresholdPolicy) -> dict:
@@ -416,7 +419,7 @@ def instance_from_dict(
             ))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-    return AssignmentInstance(
+    instance = AssignmentInstance(
         network=network,
         graph=graph,
         adapted=adapted,
@@ -424,6 +427,10 @@ def instance_from_dict(
         resource_sets=resource_sets,
         interference=tuple(interference),
     )
+    violations = validate_instance(instance)
+    if violations:
+        raise ConfigError("; ".join(v.message for v in violations))
+    return instance
 
 
 def load_instance(path: PathLike) -> AssignmentInstance:

@@ -187,33 +187,36 @@ def make_network(nodes: Iterable[NodeId], links: Iterable[EntangledLink]) -> Ove
     return OverlayNetwork(nodes=frozenset(nodes), links=tuple(links))
 
 
-def validate(network: OverlayNetwork) -> list[Violation]:
-    """Check network invariants; returns every violation found (empty list means ok)."""
+def validate(network: OverlayNetwork, context: str = "network") -> list[Violation]:
+    """Check network invariants; returns every violation found (empty list means ok).
+    Each message starts with the field path of network.links[i] below context."""
     violations: list[Violation] = []
     seen_ids: dict[LinkId, EntangledLink] = {}
-    seen_keys: dict[tuple[NodeId, NodeId, int], LinkId] = {}
-    for link in network.links:
+    seen_keys: dict[tuple[tuple[NodeId, NodeId], int], LinkId] = {}
+    for i, link in enumerate(network.links):
         if link.id in seen_ids:
             violations.append(
-                Violation("duplicate-link-id", link.id, f"link id {link.id} appears more than once")
+                Violation("duplicate-link-id", link.id,
+                          f"{context}.links[{i}].id: link id {link.id} appears more than once")
             )
         seen_ids[link.id] = link
-        for endpoint in link.endpoints:
+        for endpoint in (link.a, link.b):
             if endpoint not in network.nodes:
                 violations.append(
                     Violation(
                         "unknown-endpoint",
                         link.id,
-                        f"link {link.id} references node {endpoint} absent from the node set",
+                        f"{context}.links[{i}]: endpoint {endpoint} is not in {context}.nodes",
                     )
                 )
-        key = (*link.pair, link.level)
+        key = (link.pair, link.level)
         if key in seen_keys:
             violations.append(
                 Violation(
                     "duplicate-pair-level",
                     (seen_keys[key], link.id),
-                    f"links {seen_keys[key]} and {link.id} both join pair {link.pair} at level {link.level}",
+                    f"{context}.links[{i}]: links {seen_keys[key]} and {link.id} both join "
+                    f"pair {link.pair} at level {link.level}",
                 )
             )
         else:

@@ -441,3 +441,20 @@ class TestSolveGreedy:
             assert list(routes.items()) == list(reference_routes.items())
             rejections += len(result.rejected)
         assert rejections > 0
+
+
+class TestValidateInstance:
+    def test_competing_entry_of_a_shared_user(self):
+        # Two demands of user 0 break the user rule once; an interference
+        # entry naming either demand of user 0 still names a demand.
+        links = [EntangledLink(id=0, a=0, b=1, resource_count=1, throughput=5.0)]
+        demands = [Demand(user=0, source=0, target=1, rate=1.0),
+                   Demand(user=0, source=1, target=0, rate=1.0)]
+        inst = build_instance(links, demands, interference=[
+            InterferenceSet(link=0, state=0, competing=((0, 0), (0, 1), (1, 0))),
+        ])
+        assert [(v.code, v.message) for v in validate_instance(inst)] == [
+            ("duplicate-user", "instance.demands[1].user: user 0 already has a demand"),
+            ("unknown-demand",
+             "instance.interference[0].competing[2]: user 1 has no demand 0"),
+        ]

@@ -58,6 +58,15 @@ class TestGenerate:
         monkeypatch.setenv("ETOPO_SEED", "many")
         assert main(["generate", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
 
+    def test_repeated_level_is_a_config_error(self, tmp_path, capsys):
+        # Each repeated level would give every pair a second link at that
+        # level, which no network file may hold.
+        out = tmp_path / "net.json"
+        assert main(["generate", "--nodes", "3", "--links", "6", "--levels", "1", "1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "levels: expected a nonempty list of distinct integers" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAdapt:
     def test_csv_output(self, line_file, tmp_path, capsys):
@@ -87,8 +96,8 @@ class TestAdapt:
         ('{"default": "0.5"}', "thresholds.default: expected a number"),
         ('{"levels": {"1": false}}', "thresholds.levels.1: expected a number"),
         ('{"levels": {"1": [0.5]}}', "thresholds.levels.1: expected a number"),
-        ('{"levels": {"one": 0.5}}', "thresholds: invalid literal"),
-        ('{"default": 1.5}', "thresholds: "),
+        ('{"levels": {"one": 0.5}}', "thresholds.levels.one: expected an integer level"),
+        ('{"default": 1.5}', "thresholds.default: threshold 1.5 is outside [0, 1]"),
     ], ids=["missing", "malformed-json", "levels-not-object", "default-boolean",
             "default-string", "level-boolean", "level-list", "level-key", "out-of-range"])
     def test_bad_thresholds_file(self, line_file, tmp_path, capsys, content, where):

@@ -8,6 +8,10 @@ value is also deleted. The CLI must answer every mutated file with exit
 A second sweep puts each of NaN, Infinity and -Infinity (JSON extensions
 that Python's json reads) in place of each value. No field takes a
 non-finite number, so every such file must exit 1.
+
+A third set of documents each breaks one rule that spans records, such as
+two links on one pair and level or a resource set one state short. Each
+must exit 1 with an error that names the offending record's field path.
 """
 
 import copy
@@ -167,3 +171,38 @@ def test_non_finite_value_exits_config_error(kind, tmp_path, capsys):
             wrong.append(f"{label}: exit {code}")
     assert not wrong, f"{len(wrong)} non-finite values in {kind} did not exit " \
                       f"{EXIT_CONFIG}:\n" + "\n".join(wrong)
+
+
+# Documents that each break one rule across records, which no one-field
+# mutation above reaches: (kind, key path, new value, field path named).
+CROSS_RECORD = [
+    ("network", ("links", 1), _link(1, 1, 0), "network.links[1]"),
+    ("scenario-inline", ("network", "links", 1), _link(1, 1, 0),
+     "scenario.network.links[1]"),
+    ("instance", ("network", "links", 1), _link(1, 1, 0), "instance.network.links[1]"),
+    ("instance", ("resource_sets", 0, "states"), [0], "instance.resource_sets[0].states"),
+    ("instance", ("interference", 0, "state"), 2, "instance.interference[0].state"),
+    ("instance", ("interference", 0, "competing", 1), [1, 0],
+     "instance.interference[0].competing[1]"),
+    ("instance", ("demands", 1, "user"), 0, "instance.demands[1].user"),
+    ("instance", ("demands", 0, "target"), 7, "instance.demands[0].target"),
+    ("thresholds", ("levels",), {"01": 0.2, "1": 0.3}, "thresholds.levels.01"),
+    ("thresholds", ("levels",), {"-3": 0.2}, "thresholds.levels.-3"),
+    ("thresholds", ("levels",), {"x": 0.2}, "thresholds.levels.x"),
+    ("thresholds", ("levels",), {"2": 1.5}, "thresholds.levels.2"),
+    ("thresholds", ("default",), -0.5, "thresholds.default"),
+]
+
+
+@pytest.mark.parametrize("kind, keys, value, where", CROSS_RECORD,
+                         ids=[f"{c[0]}-{c[3]}" for c in CROSS_RECORD])
+def test_cross_record_fault_exits_config_error(kind, keys, value, where, tmp_path, capsys):
+    doc = copy.deepcopy(FILES[kind])
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    assert main(_command(kind, str(path), tmp_path)) == EXIT_CONFIG
+    assert f"{where}: " in capsys.readouterr().err

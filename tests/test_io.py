@@ -145,6 +145,13 @@ class TestInstance:
         assert again.resource_sets == inst.resource_sets
         assert again.network == inst.network
 
+    def test_resource_set_for_unknown_link_is_one_violation(self):
+        data = self.base_dict()
+        data["resource_sets"].append({"link": 9, "states": [0]})
+        with pytest.raises(ConfigError, match=r"^instance\.resource_sets\[2\]\.link: "
+                                              r"link 9 not in network$"):
+            instance_from_dict(data)
+
     def test_network_and_file_are_mutually_exclusive(self):
         data = self.base_dict()
         data["network_file"] = "net.json"
