@@ -13,7 +13,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, KeysView, Mapping
 
-from .basegraph import BaseGraph
+from .basegraph import BaseGraph, Contact
 from .errors import NotConnectedError
 from .overlay import EntangledLink, LinkId, NodeId, OverlayNetwork
 
@@ -61,14 +61,15 @@ class AdaptedLinkSet:
     parallel links.
 
     The set belongs to the base-graph it was adapted on: adjacency holds,
-    per node of that graph, its (neighbor, link id) contacts over retained
-    links in the graph's contact order, and every graph walk reads it
-    through adjacency_on.
+    per node of that graph, its (neighbor, link id, neighbor cell) contacts
+    over retained links, the graph's own contact triples in its order
+    (a row with no pruned link is the graph's row itself), and every graph
+    walk reads it through adjacency_on.
     """
 
     p_star_by_link: Mapping[LinkId, float]
     graph: BaseGraph = field(compare=False, repr=False)
-    adjacency: Mapping[NodeId, tuple[tuple[NodeId, LinkId], ...]] = field(
+    adjacency: Mapping[NodeId, tuple[Contact, ...]] = field(
         compare=False, repr=False
     )
 
@@ -79,9 +80,7 @@ class AdaptedLinkSet:
     def link_p_star(self, link_id: LinkId) -> float:
         return self.p_star_by_link.get(link_id, 0.0)
 
-    def adjacency_on(
-        self, graph: BaseGraph
-    ) -> Mapping[NodeId, tuple[tuple[NodeId, LinkId], ...]]:
+    def adjacency_on(self, graph: BaseGraph) -> Mapping[NodeId, tuple[Contact, ...]]:
         """The retained contacts per node; nodes without any may be absent.
 
         Raises ValueError when graph is not the very base-graph object this
@@ -137,7 +136,7 @@ def updated_probability(
 
 def _retained_adjacency(
     graph: BaseGraph, retained: Mapping[LinkId, float]
-) -> Mapping[NodeId, tuple[tuple[NodeId, LinkId], ...]]:
+) -> Mapping[NodeId, tuple[Contact, ...]]:
     """graph's contacts restricted to retained links, sharing every unpruned row."""
     contacts = graph.contacts
     link_of = itemgetter(1)

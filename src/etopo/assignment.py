@@ -364,7 +364,7 @@ def enumerate_simple_paths(
         if current == target:
             results.append((tuple(nodes), tuple(links)))
             return
-        for nbr, lid in adjacency.get(current, ()):
+        for nbr, lid, _ in adjacency.get(current, ()):
             if nbr in nodes or (only is not None and lid not in only):
                 continue
             nodes.append(nbr)
@@ -619,7 +619,7 @@ def solve_greedy(
             # link of this intermediate node and route onward from its far
             # endpoint. The full link fails the test below again, and the
             # link just walked leads back onto the walk.
-            for nbr, alt in adjacency.get(current, ()):
+            for nbr, alt, _ in adjacency.get(current, ()):
                 if (nbr in walked or used.get(alt, 0) >= len(instance.states_of(alt))
                         or load.get(alt, 0.0) + rate > capacity[alt]):
                     continue

@@ -31,6 +31,8 @@ from .overlay import (
 )
 
 LatticeCoord = tuple[int, ...]
+# One row entry of BaseGraph.contacts: (neighbor, link id, neighbor cell).
+Contact = tuple[NodeId, LinkId, Optional[LatticeCoord]]
 
 
 def l1_distance(a: Sequence[int], b: Sequence[int]) -> int:
@@ -47,16 +49,19 @@ class BaseGraph:
     """An n-size, k-dimensional lattice holding the placed overlay.
 
     placement maps every overlay node to a distinct lattice cell; contacts
-    lists, per node, the (neighbor, link id) entangled contacts inherited
-    from the overlay, sorted by neighbor then link id (greedy routing's
-    tie-break relies on that order). Treat instances as immutable after
-    construction.
+    lists, per node, the (neighbor, link id, neighbor cell) entangled
+    contacts inherited from the overlay, sorted by neighbor then link id
+    (greedy routing's tie-break relies on that order). The cell is the very
+    tuple placement holds for the neighbor, or None when placement lacks
+    it, so a walk reads a contact's cell from its row without a placement
+    lookup. contacts_of gives a node's (neighbor, link id) pairs. Treat
+    instances as immutable after construction.
     """
 
     k: int
     n: int
     placement: Mapping[NodeId, LatticeCoord]
-    contacts: Mapping[NodeId, tuple[tuple[NodeId, LinkId], ...]]
+    contacts: Mapping[NodeId, tuple[Contact, ...]]
 
     def coord(self, node: NodeId) -> LatticeCoord:
         try:
@@ -65,7 +70,7 @@ class BaseGraph:
             raise NotFoundError(f"node {node} is not mapped in the base-graph") from None
 
     def contacts_of(self, node: NodeId) -> tuple[tuple[NodeId, LinkId], ...]:
-        return self.contacts.get(node, ())
+        return tuple((nbr, lid) for nbr, lid, _ in self.contacts.get(node, ()))
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,12 @@ def map_overlay(
         cells = rng.sample(range(capacity), len(nodes))
         placed = {node: _unrank(cell, k, n) for node, cell in zip(nodes, cells)}
 
-    rows: defaultdict[NodeId, list[tuple[NodeId, LinkId]]] = defaultdict(list)
+    rows: defaultdict[NodeId, list[Contact]] = defaultdict(list)
+    cell = placed.get
     for link in network.links:
         a, b, link_id = link.a, link.b, link.id
-        rows[a].append((b, link_id))
-        rows[b].append((a, link_id))
+        rows[a].append((b, link_id, cell(b)))
+        rows[b].append((a, link_id, cell(a)))
     for row in rows.values():
         row.sort()
     return BaseGraph(
@@ -178,11 +184,16 @@ def _checked_placement(
 
 def normalizing_term(graph: BaseGraph, node: NodeId) -> float:
     """Sum of L1 distances from the node's cell to each entangled contact's cell."""
-    contacts = graph.contacts_of(node)
+    contacts = graph.contacts.get(node)
     if not contacts:
         raise NoContactsError(f"node {node} has no entangled contacts")
     origin = graph.coord(node)
-    return float(sum(l1_distance(origin, graph.coord(z)) for z, _ in contacts))
+    total = 0
+    for z, _, cell in contacts:
+        if cell is None:
+            raise NotFoundError(f"node {z} is not mapped in the base-graph")
+        total += l1_distance(origin, cell)
+    return float(total)
 
 
 def best_link(network: OverlayNetwork, x: NodeId, y: NodeId) -> EntangledLink:

@@ -68,12 +68,15 @@ def route(
     lowest node id, then lowest link id); exhausted nodes are popped and
     never revisited, bounding the walk to one visit per node. The returned
     path is the final stack, which is simple by construction. Raises
-    ValueError when adapted was built on another base-graph.
+    ValueError when adapted was built on another base-graph, and
+    NotFoundError when the walk scans a contact whose neighbor the
+    placement lacks.
 
-    The distance to the target is the L1 distance of the cells. On a planar
-    graph (k == 2) it is computed as abs(x - tx) + abs(y - ty) from the
-    unpacked cells; for any other k it is summed over the coordinates. Both
-    give the same integer, so outcomes are the same for every k.
+    The distance to the target is the L1 distance of the cells, each
+    contact's cell read from its adjacency row. On a planar graph (k == 2)
+    it is computed as abs(x - tx) + abs(y - ty) from the unpacked cells;
+    for any other k it is summed over the coordinates. Both give the same
+    integer, so outcomes are the same for every k.
     """
     adjacency = adapted.adjacency_on(graph)
     target_coord = graph.coord(target)
@@ -81,7 +84,6 @@ def route(
     if source == target:
         return RoutingOutcome(RouteStatus.FOUND, Path((source,), ()), 0, 0)
 
-    place = graph.placement
     planar = graph.k == 2
     if planar:
         tx, ty = target_coord
@@ -91,23 +93,24 @@ def route(
     steps = 0
     while stack:
         # Rows are sorted by (node, link), so keeping the first strictly
-        # closer contact breaks distance ties by lowest node, then link.
+        # closer unvisited contact breaks distance ties by lowest node, then
+        # link. A visited contact can never be kept, so visited is tested
+        # only for a contact that would be.
         best_dist, best_lid = inf, None
-        for nbr, lid in adjacency.get(stack[-1], ()):
-            if nbr in visited:
-                continue
-            try:
+        try:
+            for nbr, lid, cell in adjacency.get(stack[-1], ()):
                 if planar:
-                    x, y = place[nbr]
+                    x, y = cell
                     dist = abs(x - tx) + abs(y - ty)
                 else:
-                    dist = sum(map(abs, map(sub, place[nbr], target_coord)))
-            except KeyError:
-                raise NotFoundError(
-                    f"node {nbr} is not mapped in the base-graph"
-                ) from None
-            if dist < best_dist:
-                best_dist, best_nbr, best_lid = dist, nbr, lid
+                    dist = sum(map(abs, map(sub, cell, target_coord)))
+                if dist < best_dist and nbr not in visited:
+                    best_dist, best_nbr, best_lid = dist, nbr, lid
+        except TypeError:
+            # Only an unmapped neighbor's cell, None, fails to unpack.
+            raise NotFoundError(
+                f"node {nbr} is not mapped in the base-graph"
+            ) from None
         steps += 1
         if best_lid is None:
             stack.pop()
@@ -144,7 +147,7 @@ def shortest_path_oracle(
     queue = deque([source])
     while queue:
         current = queue.popleft()
-        for nbr, lid in adjacency.get(current, ()):
+        for nbr, lid, _ in adjacency.get(current, ()):
             if nbr in seen:
                 continue
             seen.add(nbr)

@@ -99,9 +99,14 @@ class Scenario:
             raise ConfigError(
                 "scenario needs exactly one network source: file, inline, or generator"
             )
-        users = [d.user for d in self.demands]
-        if len(set(users)) != len(users):
-            raise ConfigError("scenario demands must use distinct user indices")
+        users: set[int] = set()
+        for i, d in enumerate(self.demands):
+            if d.user in users:
+                raise ConfigError(
+                    f"scenario.demands[{i}].user: user {d.user} already has a demand;"
+                    " scenario demands must use distinct user indices"
+                )
+            users.add(d.user)
 
 
 def scenario_from_dict(data: Mapping[str, Any], base_dir: Optional[Path] = None) -> Scenario:

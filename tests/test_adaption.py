@@ -78,6 +78,22 @@ class TestAdapt:
         adapted = adapt(graph, net, ThresholdPolicy(default=0.0))
         assert adapted.links == {l.id for l in net.links}
 
+    def test_zero_threshold_shares_the_graph_rows(self):
+        # Nothing is pruned, so the adjacency is the graph's own contact
+        # map: adapt copies no row of a lattice it keeps whole.
+        net, graph = three_link_setup()
+        adapted = adapt(graph, net, ThresholdPolicy(default=0.0))
+        assert adapted.adjacency is graph.contacts
+
+    def test_filtered_rows_keep_the_contact_triples(self):
+        net, graph = three_link_setup()
+        adapted = adapt(graph, net, ThresholdPolicy(default=0.9))
+        assert adapted.adjacency[0] is graph.contacts[0]
+        assert adapted.adjacency[1] == ((0, 0, graph.placement[0]),)
+        assert adapted.adjacency[1][0] is graph.contacts[1][0]
+        assert adapted.adjacency[2] == ((3, 2, graph.placement[3]),)
+        assert adapted.adjacency[2][0][2] is graph.placement[3]
+
     def test_impossible_threshold_empties(self):
         net, graph = three_link_setup()
         adapted = adapt(graph, net, ThresholdPolicy(default=1.0))

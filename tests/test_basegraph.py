@@ -10,8 +10,10 @@ from etopo import (
     LatticeCapacityError,
     NoContactsError,
     NotConnectedError,
+    NotFoundError,
     PlacementError,
     connection_probability,
+    kleinberg_lattice,
     l1_distance,
     link_existence_probability,
     make_network,
@@ -85,6 +87,51 @@ class TestMapOverlay:
         net = line_network()
         graph = map_overlay(net, k=1, n=4, placement={0: (0,), 1: (1,), 2: (2,)})
         assert graph.contacts_of(1) == ((0, 0), (2, 1))
+
+
+class TestContactRows:
+    """Each row holds (neighbor, link id, neighbor cell) triples sorted by
+    neighbor then link id; the cell is the placement's own tuple."""
+
+    @pytest.mark.parametrize("k, n", [(1, 40), (2, 8), (3, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cells_are_the_placement_tuples(self, k, n, seed):
+        rng = random.Random(seed)
+        net = random_overlay(rng, num_nodes=12, num_links=30)
+        graph = map_overlay(net, k=k, n=n, seed=seed)
+        assert graph.contacts
+        for row in graph.contacts.values():
+            for nbr, _, cell in row:
+                assert cell is graph.placement[nbr]
+
+    def test_lattice_cells_are_the_placement_tuples(self):
+        _, graph = kleinberg_lattice(16, 3)
+        for row in graph.contacts.values():
+            for nbr, _, cell in row:
+                assert cell is graph.placement[nbr]
+
+    def test_unplaced_neighbor_has_no_cell(self):
+        # make_network does not check endpoints, so a contact can name a
+        # node the placement never saw.
+        links = [EntangledLink(id=0, a=0, b=1), EntangledLink(id=1, a=0, b=5)]
+        graph = map_overlay(make_network(range(2), links), k=1, n=2,
+                            placement={0: (0,), 1: (1,)})
+        assert graph.contacts[0] == ((1, 0, (1,)), (5, 1, None))
+        assert graph.contacts[5] == ((0, 1, (0,)),)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_contacts_of_gives_sorted_pairs(self, seed):
+        rng = random.Random(seed)
+        net = random_overlay(rng, num_nodes=12, num_links=30)
+        graph = map_overlay(net, k=2, n=8, seed=seed)
+        pairs = defaultdict(list)
+        for link in net.links:
+            pairs[link.a].append((link.b, link.id))
+            pairs[link.b].append((link.a, link.id))
+        for node in range(12):
+            assert graph.contacts_of(node) == tuple(sorted(pairs[node]))
+            assert [c[:2] for c in graph.contacts.get(node, ())] == sorted(pairs[node])
+        assert graph.contacts_of(99) == ()
 
 
 def _outcome(place, *args):
@@ -161,6 +208,13 @@ class TestNormalizingTerm:
         net = make_network([0, 1], [])
         graph = map_overlay(net, k=1, n=4, seed=0)
         with pytest.raises(NoContactsError):
+            normalizing_term(graph, 0)
+
+    def test_unplaced_contact_raises(self):
+        links = [EntangledLink(id=0, a=0, b=1), EntangledLink(id=1, a=0, b=5)]
+        graph = map_overlay(make_network(range(2), links), k=1, n=2,
+                            placement={0: (0,), 1: (1,)})
+        with pytest.raises(NotFoundError, match="node 5 is not mapped"):
             normalizing_term(graph, 0)
 
     def test_strictly_positive(self):

@@ -185,6 +185,7 @@ CROSS_RECORD = [
     ("instance", ("interference", 0, "competing", 1), [1, 0],
      "instance.interference[0].competing[1]"),
     ("instance", ("demands", 1, "user"), 0, "instance.demands[1].user"),
+    ("scenario-inline", ("demands", 1, "user"), 0, "scenario.demands[1].user"),
     ("instance", ("demands", 0, "target"), 7, "instance.demands[0].target"),
     ("thresholds", ("levels",), {"01": 0.2, "1": 0.3}, "thresholds.levels.01"),
     ("thresholds", ("levels",), {"-3": 0.2}, "thresholds.levels.-3"),

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -177,6 +178,45 @@ class TestAdaptedAdjacency:
             source, target = rng.sample(range(64 * 64), 2)
             assert route(graph, adapted, source, target) == reference_route(
                 graph, adapted, source, target)
+
+    def test_pruned_lattice_matches_reference(self):
+        # Every fifth link is weakened below the threshold, so adapt filters
+        # most rows and shares the rest with the graph.
+        net, _ = kleinberg_lattice(64, 5)
+        weak = [dataclasses.replace(l, swap_success=0.5) if l.id % 5 == 0 else l
+                for l in net.links]
+        net = make_network(net.nodes, weak)
+        graph = map_overlay(net, k=2, n=64,
+                            placement={u: divmod(u, 64) for u in net.nodes})
+        adapted = adapt(graph, net, ThresholdPolicy(default=0.75))
+        shared = [adapted.adjacency[u] is row for u, row in graph.contacts.items()]
+        assert any(shared) and not all(shared)
+        rng = random.Random(5)
+        found = 0
+        for _ in range(120):
+            source, target = rng.sample(range(64 * 64), 2)
+            outcome = route(graph, adapted, source, target)
+            assert outcome == reference_route(graph, adapted, source, target)
+            oracle = shortest_path_oracle(graph, adapted, source, target)
+            assert oracle.diameter == reference_oracle(
+                graph, adapted, source, target).diameter
+            assert oracle.found == outcome.found
+            found += outcome.found
+        assert found > 0
+
+    @pytest.mark.parametrize("k, side", [(1, 40), (3, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_embedding_matches_reference(self, k, side, seed):
+        rng = random.Random(seed)
+        _, graph, adapted = random_embedded(
+            rng, num_nodes=20, num_links=40, k=k, n=side, threshold=0.3)
+        nodes = sorted(graph.placement)
+        for source in nodes:
+            for target in nodes:
+                assert route(graph, adapted, source, target) == reference_route(
+                    graph, adapted, source, target)
+                assert shortest_path_oracle(graph, adapted, source, target).diameter == (
+                    reference_oracle(graph, adapted, source, target).diameter)
 
     @staticmethod
     def assert_unmapped_neighbor_raises(k):

@@ -68,6 +68,15 @@ class TestScenarioValidation:
                 Demand(user=0, source=1, target=3),
             ))
 
+    def test_duplicate_user_names_the_first_repeat(self):
+        with pytest.raises(ConfigError, match=r"^scenario\.demands\[2\]\.user: user 0 "):
+            line_scenario(demands=(
+                Demand(user=0, source=0, target=3),
+                Demand(user=1, source=1, target=3),
+                Demand(user=0, source=2, target=3),
+                Demand(user=1, source=0, target=2),
+            ))
+
     def test_trials_must_be_positive(self):
         with pytest.raises(ConfigError):
             line_scenario(trials=0)

@@ -692,7 +692,6 @@ def _reference_greedy_serve(
     outcome = _reference_route_once(instance, routes, demand.source, demand.target)
     if not outcome.found:
         return None
-    adjacency = instance.adapted.adjacency_on(instance.graph)
     nodes = list(outcome.path.nodes)
     links = list(outcome.path.links)
     path_nodes = [demand.source]
@@ -714,7 +713,7 @@ def _reference_greedy_serve(
         # The link's states are exhausted here: spill onto another link of
         # this intermediate node and route onward from its far endpoint.
         spilled = False
-        for nbr, alt in adjacency.get(current, ()):
+        for nbr, alt in _reference_neighbors(instance.graph, instance.adapted, current):
             if alt == link or alt == arrived_by:
                 continue
             if nbr in path_nodes:
