@@ -25,7 +25,7 @@ from .adaption import AdaptedLinkSet
 from .basegraph import BaseGraph
 from .errors import NotFoundError, TooLargeError, Violation
 from .overlay import LinkId, NodeId, OverlayNetwork
-from .routing import RoutingOutcome, route
+from .routing import Plan, RouteStatus, RoutingOutcome, route
 
 StateId = int
 DemandId = int
@@ -34,7 +34,8 @@ UserId = int
 ResourceRef = tuple[LinkId, StateId]
 CTriple = tuple[UserId, LinkId, StateId]
 KTriple = tuple[UserId, DemandId, ResourceRef]
-# route() outcomes over one instance's graph and adapted set, by (source, target).
+# Outcomes of route() walks that ran to the end over one instance's graph
+# and adapted set, by (source, target).
 RouteMemo = MutableMapping[tuple[NodeId, NodeId], RoutingOutcome]
 
 # Largest instance, in binary variables, that solve_exact accepts.
@@ -568,12 +569,19 @@ def solve_greedy(
     in particular no interference set is ever granted twice.
 
     routes memoizes route() by (source, target) for the demand routes and
-    the spill re-routes: the solver reads outcomes from it and adds those
-    it walks. route() depends only on the graph, the adapted set and the
-    pair, so the memo changes no result. The caller owns it and must fill
-    it from this instance's graph and adapted set only (run_scenario hands
-    in the routes of the trial that built the instance). Without one, the
-    solver keeps its own for the length of the call.
+    the spill re-routes: the solver reads outcomes from it and adds the
+    walks it runs to the end. route() depends only on the graph, the
+    adapted set and the pair, so the memo changes no result. The caller
+    owns it and must fill it from this instance's graph and adapted set
+    only (run_scenario hands in the routes of the trial that built the
+    instance). Without one, the solver keeps its own for the length of the
+    call.
+
+    A spill re-route is refused when its path crosses the demand's walk so
+    far. So the solver passes route() the plan (the walk, then the rest of
+    the route it follows), and the spill walk stops, BLOCKED, once its
+    path is sure to cross the walk; route() documents why that is sound.
+    A BLOCKED walk is refused like the full one, and is not memoized.
     """
     if routes is None:
         routes = {}
@@ -603,7 +611,8 @@ def solve_greedy(
             continue
         nodes, links = outcome.path.nodes, outcome.path.links
         current = demand.source
-        walked = {current}
+        # The walk's nodes, by their position along it.
+        walked = {current: 0}
         hops: list[LinkId] = []
         i = 0
         while i < len(links):
@@ -612,13 +621,15 @@ def solve_greedy(
                     and load.get(link, 0.0) + rate <= capacity[link]):
                 hops.append(link)
                 current = nodes[i + 1]
-                walked.add(current)
+                walked[current] = len(walked)
                 i += 1
                 continue
             # The link has no state or capacity left here: spill onto another
             # link of this intermediate node and route onward from its far
             # endpoint. The full link fails the test below again, and the
-            # link just walked leads back onto the walk.
+            # link just walked leads back onto the walk. The plan, built at
+            # the first memo miss, is the walk then the rest of its route.
+            plan = None
             for nbr, alt, _ in adjacency.get(current, ()):
                 if (nbr in walked or used.get(alt, 0) >= len(instance.states_of(alt))
                         or load.get(alt, 0.0) + rate > capacity[alt]):
@@ -626,11 +637,17 @@ def solve_greedy(
                 pair = (nbr, demand.target)
                 onward = routes.get(pair)
                 if onward is None:
-                    onward = routes[pair] = route(instance.graph, instance.adapted, *pair)
-                if onward.found and walked.isdisjoint(onward.path.nodes):
+                    if plan is None:
+                        position = dict(walked)
+                        position.update(zip(nodes[i + 1:], itertools.count(len(walked))))
+                        plan = Plan(position, walked.keys())
+                    onward = route(instance.graph, instance.adapted, *pair, plan=plan)
+                    if onward.status is not RouteStatus.BLOCKED:
+                        routes[pair] = onward
+                if onward.found and walked.keys().isdisjoint(onward.path.nodes):
                     hops.append(alt)
                     current = nbr
-                    walked.add(current)
+                    walked[current] = len(walked)
                     nodes, links, i = onward.path.nodes, onward.path.links, 0
                     break
             else:

@@ -126,7 +126,8 @@ def _integer_pairs(value: Any, context: str, key: Union[str, int]) -> tuple:
 
 def _load_json(path: PathLike) -> Any:
     try:
-        return json.loads(Path(path).read_bytes())
+        with open(path, "rb") as fh:
+            return json.loads(fh.read())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -434,7 +435,8 @@ def instance_from_dict(
 
 
 def load_instance(path: PathLike) -> AssignmentInstance:
-    return instance_from_dict(_load_json(path), base_dir=Path(path).parent)
+    path = Path(path)
+    return instance_from_dict(_load_json(path), base_dir=path.parent)
 
 
 def instance_to_dict(instance: AssignmentInstance, policy: ThresholdPolicy,

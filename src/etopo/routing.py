@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import inf
 from operator import sub
-from typing import Optional
+from typing import AbstractSet, Mapping, NamedTuple, Optional
 
 from .adaption import AdaptedLinkSet
 from .basegraph import BaseGraph
@@ -23,6 +23,19 @@ from .overlay import LinkId, NodeId
 class RouteStatus(str, Enum):
     FOUND = "found"
     UNREACHABLE = "unreachable"
+    # The walk stopped once its path was sure to cross Plan.walked.
+    BLOCKED = "blocked"
+
+
+class Plan(NamedTuple):
+    """A simple path of adapted links that ends at the route's target.
+
+    position gives each plan node's index along the path; walked is the
+    set of plan nodes on which the caller refuses a returned path.
+    """
+
+    position: Mapping[NodeId, int]
+    walked: AbstractSet[NodeId]
 
 
 @dataclass(frozen=True)
@@ -61,6 +74,8 @@ def route(
     adapted: AdaptedLinkSet,
     source: NodeId,
     target: NodeId,
+    *,
+    plan: Optional[Plan] = None,
 ) -> RoutingOutcome:
     """Greedy L1 forwarding with backtracking over the adapted set.
 
@@ -77,6 +92,17 @@ def route(
     it is computed as abs(x - tx) + abs(y - ty) from the unpacked cells;
     for any other k it is summed over the coordinates. Both give the same
     integer, so outcomes are the same for every k.
+
+    With a plan, the walk returns BLOCKED (no path, the steps so far) as
+    soon as the path it would return is sure to hold a node of
+    plan.walked. That is when it pushes a plan node x after no later plan
+    node has been visited, and the stack then holds a walked node. The
+    plan's rest from x to the target is then all unvisited, so the search
+    reaches the target before it could pop x: x and the stack under it
+    are a prefix of the returned path. A walk that ends early scans fewer
+    contacts, so it raises NotFoundError only for the ones it scanned.
+    Otherwise the plan changes nothing, FOUND and UNREACHABLE outcomes
+    included.
     """
     adjacency = adapted.adjacency_on(graph)
     target_coord = graph.coord(target)
@@ -87,6 +113,10 @@ def route(
     planar = graph.k == 2
     if planar:
         tx, ty = target_coord
+    if plan is not None:
+        position, walked = plan
+        # The furthest plan position among the visited nodes.
+        furthest = position.get(source, -1)
     visited = {source}
     stack: list[NodeId] = [source]
     link_stack: list[LinkId] = []
@@ -127,6 +157,12 @@ def route(
                 len(link_stack),
                 steps,
             )
+        if plan is not None:
+            at = position.get(best_nbr, -1)
+            if at > furthest:
+                furthest = at
+                if not walked.isdisjoint(stack):
+                    return RoutingOutcome(RouteStatus.BLOCKED, None, 0, steps)
     return RoutingOutcome(RouteStatus.UNREACHABLE, None, 0, steps)
 
 

@@ -255,7 +255,10 @@ def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
 
     Each trial routes each distinct (source, target) pair of its demands
     once, into a route memo that this function owns and drops when the
-    trial ends; the greedy solver reads it and adds its spill re-routes.
+    trial ends; the greedy solver reads it and adds the spill re-routes
+    it walks to the end. A spill walk that stops early, sure to cross the
+    demand's own walk, is refused without being kept, so the memo and the
+    records hold only FOUND and UNREACHABLE outcomes.
     The resource sets are built once, from the base network.
     """
     base = _base_network(scenario)

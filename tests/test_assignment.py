@@ -11,6 +11,7 @@ from etopo import (
     EntangledLink,
     InterferenceSet,
     ResourceSet,
+    RouteStatus,
     SolveStatus,
     ThresholdPolicy,
     TooLargeError,
@@ -357,6 +358,40 @@ def random_greedy_instances(count=30, seed=13):
     return instances
 
 
+def spilling_random_instances(count=60, seed=31):
+    """Larger draws than the oracle tests take: more demands than states,
+    so links run out and demands spill or are rejected."""
+    rng = random.Random(seed)
+    instances = []
+    while len(instances) < count:
+        inst = random_instance(rng, max_users=6, max_links=8, max_states=2,
+                               option_product_cap=10**12)
+        if inst is not None:
+            instances.append(inst)
+    return instances
+
+
+def greedy_scenario_trials(monkeypatch):
+    """The two trial instances that `run_scenario` builds from
+    greedy_scenario_payload(), both solved greedily."""
+    import etopo.scenario
+    from etopo import run_scenario, scenario_from_dict
+
+    build = etopo.scenario.build_trial_instance
+    trials = []
+
+    def keep(*args, **kwargs):
+        built = build(*args, **kwargs)
+        trials.append(built[0])
+        return built
+
+    monkeypatch.setattr(etopo.scenario, "build_trial_instance", keep)
+    run_scenario(scenario_from_dict(greedy_scenario_payload()))
+    monkeypatch.setattr(etopo.scenario, "build_trial_instance", build)
+    assert len(trials) == 2
+    return trials
+
+
 class TestSolveGreedy:
     def test_trivial_parallel_serving(self):
         result = solve_greedy(parallel_greedy_instance())
@@ -401,46 +436,58 @@ class TestSolveGreedy:
             assert solve_greedy(inst, routes) == expected
 
     def test_matches_reference(self, monkeypatch):
-        import etopo.scenario
-        from etopo import run_scenario, scenario_from_dict
-
         instances = [parallel_greedy_instance(), spill_greedy_instance(),
                      unroutable_greedy_instance(), *random_greedy_instances()]
-        # Larger draws than the oracle tests take: more demands than states,
-        # so links run out and demands spill or are rejected.
-        rng = random.Random(31)
-        drawn = 0
-        while drawn < 60:
-            inst = random_instance(rng, max_users=6, max_links=8, max_states=2,
-                                   option_product_cap=10**12)
-            if inst is not None:
-                # Files may list a link's states in any order.
-                reversed_sets = {lid: ResourceSet(lid, rs.states[::-1])
-                                 for lid, rs in inst.resource_sets.items()}
-                instances += [inst, dataclasses.replace(inst, resource_sets=reversed_sets)]
-                drawn += 1
-        build = etopo.scenario.build_trial_instance
-        trials = []
-
-        def keep(*args, **kwargs):
-            built = build(*args, **kwargs)
-            trials.append(built[0])
-            return built
-
-        monkeypatch.setattr(etopo.scenario, "build_trial_instance", keep)
-        run_scenario(scenario_from_dict(greedy_scenario_payload()))
-        assert len(trials) == 2
-        instances.extend(trials)
+        for inst in spilling_random_instances():
+            # Files may list a link's states in any order.
+            reversed_sets = {lid: ResourceSet(lid, rs.states[::-1])
+                             for lid, rs in inst.resource_sets.items()}
+            instances += [inst, dataclasses.replace(inst, resource_sets=reversed_sets)]
+        instances.extend(greedy_scenario_trials(monkeypatch))
 
         rejections = 0
         for inst in instances:
             routes, reference_routes = {}, {}
             result = solve_greedy(inst, routes)
             assert result == reference_solve_greedy(inst, reference_routes)
-            # The same pairs are walked, in the same order.
-            assert list(routes.items()) == list(reference_routes.items())
+            # The memo holds only walks that ran to the end, each what
+            # route() gives, and of pairs the reference walks too: a spill
+            # walk that stopped early is not kept.
+            for (source, target), outcome in routes.items():
+                assert outcome == route(inst.graph, inst.adapted, source, target)
+            assert routes.keys() <= reference_routes.keys()
             rejections += len(result.rejected)
         assert rejections > 0
+
+    def test_spill_walks_stop_only_when_refused(self, monkeypatch):
+        import etopo.assignment
+
+        stopped = []
+
+        def checked(graph, adapted, source, target, *, plan=None):
+            outcome = route(graph, adapted, source, target, plan=plan)
+            full = route(graph, adapted, source, target)
+            if outcome.status is RouteStatus.BLOCKED:
+                # Stopped early: the full walk finds a path that crosses
+                # the demand's walk, which the solver refuses.
+                assert full.found
+                assert not plan.walked.isdisjoint(full.path.nodes)
+                assert outcome.path is None and outcome.diameter == 0
+                assert 0 < outcome.steps_taken < full.steps_taken
+                stopped.append((source, target))
+            else:
+                assert outcome == full
+            return outcome
+
+        monkeypatch.setattr(etopo.assignment, "route", checked)
+        for instances in (spilling_random_instances(), greedy_scenario_trials(monkeypatch)):
+            before = len(stopped)
+            for inst in instances:
+                routes = {}
+                result = solve_greedy(inst, routes)
+                assert result == reference_solve_greedy(inst)
+                assert all(o.status is not RouteStatus.BLOCKED for o in routes.values())
+            assert len(stopped) > before
 
 
 class TestValidateInstance:

@@ -436,6 +436,37 @@ class TestRun:
             "828ad4014b0ec6121c0f46ea9a78cf1cf6e722a668cef962b020679950eccd58"
         )
 
+    def test_greedy_scenario_outputs_never_say_blocked(self, tmp_path, monkeypatch):
+        # Spill walks that stop early come back BLOCKED; demand routes never
+        # do, so neither the run records nor the files carry that status.
+        import etopo.assignment
+        import etopo.cli
+
+        spill_statuses, runs = [], []
+        route, run_scenario = etopo.assignment.route, etopo.cli.run_scenario
+
+        def spill_walk(*args, **kwargs):
+            outcome = route(*args, **kwargs)
+            spill_statuses.append(outcome.status)
+            return outcome
+
+        def kept_run(scenario):
+            runs.append(run_scenario(scenario))
+            return runs[-1]
+
+        monkeypatch.setattr(etopo.assignment, "route", spill_walk)
+        monkeypatch.setattr(etopo.cli, "run_scenario", kept_run)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(greedy_scenario_payload()))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_INFEASIBLE
+        assert etopo.RouteStatus.BLOCKED in spill_statuses
+        [records] = runs
+        statuses = {o.status for rec in records for _, o in rec.routing}
+        assert etopo.RouteStatus.BLOCKED not in statuses
+        for name in ("metrics.csv", "solutions.json"):
+            assert "blocked" not in (out / name).read_text().lower()
+
     @pytest.mark.parametrize("field, value", [
         (("trials",), "2"),
         (("seed",), "7"),

@@ -9,6 +9,7 @@ from etopo import (
     EntangledLink,
     NotFoundError,
     RouteStatus,
+    RoutingOutcome,
     ThresholdPolicy,
     adapt,
     kleinberg_lattice,
@@ -18,6 +19,7 @@ from etopo import (
     shortest_path_oracle,
 )
 from etopo.assignment import enumerate_simple_paths
+from etopo.routing import Plan
 from util import (
     random_embedded,
     reference_oracle,
@@ -75,6 +77,52 @@ class TestRoute:
         nodes = sorted(graph.placement)
         a, b = nodes[0], nodes[-1]
         assert route(graph, adapted, a, b) == route(graph, adapted, a, b)
+
+
+def placed_line(cells, pairs):
+    """Links pairs[i] with id i, each node at its cell of a 1-d lattice."""
+    links = [EntangledLink(id=i, a=a, b=b) for i, (a, b) in enumerate(pairs)]
+    net = make_network(range(len(cells)), links)
+    graph = map_overlay(net, k=1, n=12,
+                        placement={v: (cell,) for v, cell in enumerate(cells)})
+    return graph, adapt(graph, net, ThresholdPolicy(default=0.0))
+
+
+def plan_of(nodes, walked):
+    return Plan({v: i for i, v in enumerate(nodes)}, frozenset(walked))
+
+
+class TestPlan:
+    def test_stops_on_pushing_a_walked_node(self):
+        # Plan 0-1-2-3 with 0 and 1 walked. From 4 the walk steps onto 1,
+        # whose plan rest 2-3 is unvisited, so the path must cross 1.
+        graph, adapted = placed_line([0, 5, 7, 9, 3], [(0, 1), (1, 2), (2, 3), (1, 4)])
+        out = route(graph, adapted, 4, 3, plan=plan_of([0, 1, 2, 3], {0, 1}))
+        assert out == RoutingOutcome(RouteStatus.BLOCKED, None, 0, 1)
+        full = route(graph, adapted, 4, 3)
+        assert full.found and full.path.nodes == (4, 1, 2, 3)
+
+    def test_stops_when_a_walked_node_lies_under_a_later_plan_node(self):
+        # Plan 0-1-2-3-4 with 0 and 1 walked, routed from plan node 2. The
+        # walk steps onto 0 (not final: plan node 2 is visited), then 5,
+        # then plan node 3, after which 0 cannot leave the stack.
+        graph, adapted = placed_line(
+            [10, 2, 0, 7, 11, 9],
+            [(0, 1), (1, 2), (2, 3), (3, 4), (2, 0), (0, 5), (5, 3)],
+        )
+        out = route(graph, adapted, 2, 4, plan=plan_of([0, 1, 2, 3, 4], {0, 1}))
+        assert out == RoutingOutcome(RouteStatus.BLOCKED, None, 0, 3)
+        full = route(graph, adapted, 2, 4)
+        assert full.found and full.path.nodes == (2, 0, 5, 3, 4)
+
+    def test_walked_node_after_a_visited_plan_node_runs_to_the_end(self):
+        # Plan 0-1-2-3 with 0 walked, routed from plan node 1. The walk
+        # steps onto 0 first, but 1 was visited before it, so 0 may yet be
+        # popped: it is a dead end, and the path found avoids it.
+        graph, adapted = placed_line([8, 0, 5, 9], [(0, 1), (1, 2), (2, 3)])
+        out = route(graph, adapted, 1, 3, plan=plan_of([0, 1, 2, 3], {0}))
+        assert out == route(graph, adapted, 1, 3)
+        assert out.found and out.path.nodes == (1, 2, 3) and out.steps_taken == 4
 
 
 class TestOracle:
