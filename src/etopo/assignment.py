@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Container, Mapping, MutableMapping, NamedTuple, Optional, Sequence
+from typing import Collection, Container, Mapping, MutableMapping, NamedTuple, Optional, Sequence
 
 from .adaption import AdaptedLinkSet
 from .basegraph import BaseGraph
@@ -331,9 +331,9 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solver outcome; on infeasibility the solution covers served demands only."""
+    """Solver outcome; on infeasibility the solution covers served demands
+    only. A result is feasible exactly when no demand is rejected."""
 
-    status: SolveStatus
     solution: AssignmentSolution
     objective: Optional[float]
     served: tuple[DemandId, ...] = ()
@@ -341,7 +341,11 @@ class SolveResult:
 
     @property
     def feasible(self) -> bool:
-        return self.status is SolveStatus.FEASIBLE
+        return not self.rejected
+
+    @property
+    def status(self) -> SolveStatus:
+        return SolveStatus.INFEASIBLE if self.rejected else SolveStatus.FEASIBLE
 
 
 class _Option(NamedTuple):
@@ -355,8 +359,12 @@ def enumerate_simple_paths(
     instance: AssignmentInstance, source: NodeId, target: NodeId,
     only: Optional[Container[LinkId]] = None,
 ) -> list[tuple[tuple[NodeId, ...], tuple[LinkId, ...]]]:
-    """All node-simple paths over the adapted set, link-resolved; when only
-    is given, just the paths all of whose links are in it."""
+    """All node-simple paths over the adapted set, link-resolved and
+    sorted; when only is given, just the paths all of whose links are in it.
+
+    Raises TooLargeError as soon as more than OPTION_CAP paths are found:
+    each path over links that hold states gives solve_exact at least one
+    option, so the listing stops where the option count would."""
     results: list[tuple[tuple[NodeId, ...], tuple[LinkId, ...]]] = []
     adjacency = instance.adapted.adjacency_on(instance.graph)
 
@@ -364,6 +372,9 @@ def enumerate_simple_paths(
         current = nodes[-1]
         if current == target:
             results.append((tuple(nodes), tuple(links)))
+            if len(results) > OPTION_CAP:
+                raise TooLargeError(f"more than {OPTION_CAP} simple paths lead "
+                                    f"from node {source} to node {target}")
             return
         for nbr, lid, _ in adjacency.get(current, ()):
             if nbr in nodes or (only is not None and lid not in only):
@@ -403,23 +414,20 @@ def _demand_options(
     return options
 
 
-def _result(instance: AssignmentInstance, C: Optional[frozenset[CTriple]]) -> SolveResult:
-    all_demands = tuple(range(len(instance.demands)))
-    if C is None:
-        return SolveResult(
-            status=SolveStatus.INFEASIBLE,
-            solution=AssignmentSolution(frozenset(), frozenset()),
-            objective=None,
-            served=(),
-            rejected=all_demands,
-        )
+def _result(
+    instance: AssignmentInstance,
+    C: frozenset[CTriple],
+    rejected: Collection[DemandId] = (),
+) -> SolveResult:
+    """The result that serves every demand outside rejected by the
+    assignment C; only a result that rejects none has an objective."""
     solution = AssignmentSolution.from_C(instance, C)
+    demands = range(len(instance.demands))
     return SolveResult(
-        status=SolveStatus.FEASIBLE,
         solution=solution,
-        objective=objective(instance, solution),
-        served=all_demands,
-        rejected=(),
+        objective=None if rejected else objective(instance, solution),
+        served=tuple(q for q in demands if q not in rejected),
+        rejected=tuple(q for q in demands if q in rejected),
     )
 
 
@@ -481,8 +489,6 @@ def solve_exact(
             if len(earlier[ref]) <= qid:
                 usable.setdefault(ref[0], []).append(ref)
         options[qid] = _demand_options(instance, qid, usable)
-    if any(not opts for opts in options.values()):
-        return _result(instance, None)
 
     best: Optional[frozenset[CTriple]] = None
     best_cost = float("inf")
@@ -550,6 +556,8 @@ def solve_exact(
             del chosen[qid]
 
     descend(0, 0.0)
+    if best is None:
+        return _result(instance, frozenset(), rejected=order)
     return _result(instance, best)
 
 
@@ -593,8 +601,7 @@ def solve_greedy(
     used: dict[LinkId, int] = {}
     load: dict[LinkId, float] = {}
     C: set[CTriple] = set()
-    served: list[DemandId] = []
-    rejected: list[DemandId] = []
+    rejected: set[DemandId] = set()
     order = sorted(
         range(len(instance.demands)),
         key=lambda q: (-instance.demand(q).rate, instance.demand(q).user),
@@ -607,7 +614,7 @@ def solve_greedy(
         if outcome is None:
             outcome = routes[pair] = route(instance.graph, instance.adapted, *pair)
         if not outcome.found:
-            rejected.append(qid)
+            rejected.add(qid)
             continue
         nodes, links = outcome.path.nodes, outcome.path.links
         current = demand.source
@@ -653,21 +660,12 @@ def solve_greedy(
             else:
                 break  # no link leads on
         if i < len(links):
-            rejected.append(qid)
+            rejected.add(qid)
             continue
-        served.append(qid)
         for link in hops:
             n = used.get(link, 0)
             C.add((demand.user, link, sorted(instance.states_of(link))[n]))
             used[link] = n + 1
             load[link] = load.get(link, 0.0) + rate
 
-    solution = AssignmentSolution.from_C(instance, frozenset(C))
-    status = SolveStatus.FEASIBLE if not rejected else SolveStatus.INFEASIBLE
-    return SolveResult(
-        status=status,
-        solution=solution,
-        objective=objective(instance, solution) if not rejected else None,
-        served=tuple(sorted(served)),
-        rejected=tuple(sorted(rejected)),
-    )
+    return _result(instance, frozenset(C), rejected)

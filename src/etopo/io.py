@@ -171,24 +171,23 @@ def network_to_dict(network: OverlayNetwork) -> dict:
 def network_from_dict(data: Mapping[str, Any], context: str = "network") -> OverlayNetwork:
     """The network block at field path context ("scenario.network" inline)."""
     _require(data, {"nodes", "links"}, context)
+    nodes: set[int] = set()
     for i, node in enumerate(_list(data["nodes"], f"{context}.nodes")):
-        if type(node) is not int:  # bool is an int subclass, and no node id
-            raise ConfigError(f"{context}.nodes[{i}]: expected an integer, got {node!r}")
+        nodes.add(_integer(node, f"{context}.nodes", i))
+        if len(nodes) == i:  # the node was listed before
+            raise ConfigError(f"{context}.nodes[{i}]: node {node} appears more than once")
     links = []
     for i, record in enumerate(_list(data["links"], f"{context}.links")):
         where = f"{context}.links[{i}]"
         _require(record, _LINK_KEYS, where)
-        # One chain tests all five integer fields; the loop only names the bad one.
-        if not (type(record["id"]) is type(record["a"]) is type(record["b"])
-                is type(record["level"]) is type(record["resource_count"]) is int):
-            for key in _LINK_INTEGERS:
-                _integer(record[key], where, key)
+        for key in _LINK_INTEGERS:
+            _integer(record[key], where, key)
         try:
             link = EntangledLink(**record)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         links.append(link)
-    network = make_network(data["nodes"], links)
+    network = make_network(nodes, links)
     violations = validate(network, context)
     if violations:
         raise ConfigError("; ".join(v.message for v in violations))
@@ -221,15 +220,12 @@ def placement_from_list(data: Any,
     """The placement list at field path context."""
     placement: dict[int, tuple[int, ...]] = {}
     for i, record in enumerate(_list(data, context)):
-        _require(record, _PLACEMENT_KEYS, f"{context}[{i}]")
-        node, coords = record["node"], record["coords"]
-        if type(node) is not int:  # bool is an int subclass, and no node id
-            raise ConfigError(f"{context}[{i}].node: expected an integer, got {node!r}")
-        if type(coords) is not list or any(type(c) is not int for c in coords):
-            _integer_list(coords, f"{context}[{i}]", "coords")
-        placement[node] = tuple(coords)
+        where = f"{context}[{i}]"
+        _require(record, _PLACEMENT_KEYS, where)
+        node = _integer(record["node"], where, "node")
+        placement[node] = tuple(_integer_list(record["coords"], where, "coords"))
         if len(placement) == i:  # the record replaced an earlier one
-            raise ConfigError(f"{context}[{i}].node: node {node} is placed more than once")
+            raise ConfigError(f"{where}.node: node {node} is placed more than once")
     return placement
 
 
@@ -387,18 +383,12 @@ def instance_from_dict(
     policy = thresholds_from_dict(data.get("thresholds", {}), "instance.thresholds")
     adapted = adapt(graph, network, policy, pstar_mode_from_dict(data, "instance"))
     demands = demands_from_list(data["demands"], "instance.demands")
-
-    # load_instance is on a timed path: records are checked inline, and a
-    # field path below the record is formatted only for its error.
     resource_sets = {}
     for i, record in enumerate(_list(data["resource_sets"], "instance.resource_sets")):
         where = f"instance.resource_sets[{i}]"
         _require(record, _RESOURCE_SET_KEYS, where)
-        link, states = record["link"], record["states"]
-        if type(link) is not int:
-            _integer(link, where, "link")
-        if type(states) is not list or any(type(s) is not int for s in states):
-            _integer_list(states, where, "states")
+        link = _integer(record["link"], where, "link")
+        states = _integer_list(record["states"], where, "states")
         try:
             resource_sets[link] = ResourceSet(link=link, states=tuple(states))
         except ValueError as exc:
@@ -409,13 +399,10 @@ def instance_from_dict(
     for i, record in enumerate(_list(data.get("interference", []), "instance.interference")):
         where = f"instance.interference[{i}]"
         _require(record, _INTERFERENCE_KEYS, where)
-        link, state = record["link"], record["state"]
-        if type(link) is not int or type(state) is not int:
-            _integer(link, where, "link")
-            _integer(state, where, "state")
         try:
             interference.append(InterferenceSet(
-                link=link, state=state,
+                link=_integer(record["link"], where, "link"),
+                state=_integer(record["state"], where, "state"),
                 competing=_integer_pairs(record["competing"], where, "competing"),
             ))
         except ValueError as exc:
@@ -492,11 +479,17 @@ def save_solve_result(result: SolveResult, path: PathLike) -> None:
 
 def conflict_graph_from_dict(data: Mapping[str, Any]) -> ConflictGraph:
     _require(data, {"vertices", "edges"}, "graph", optional={"k_star"})
+    vertices: set[int] = set()
+    for i, vertex in enumerate(_integer_list(data["vertices"], "graph", "vertices")):
+        vertices.add(vertex)
+        if len(vertices) == i:  # the vertex was listed before
+            raise ConfigError(f"graph.vertices[{i}]: vertex {vertex} appears more than once")
     try:
         return make_conflict_graph(
-            _integer_list(data["vertices"], "graph", "vertices"),
+            vertices,
             _integer_pairs(data["edges"], "graph", "edges"),
-            k_star=_integer(data["k_star"], "graph", "k_star") if "k_star" in data else None,
+            k_star=(_integer(data["k_star"], "graph", "k_star", minimum=0)
+                    if "k_star" in data else None),
         )
     except ValueError as exc:
         raise ConfigError(f"graph: {exc}") from exc

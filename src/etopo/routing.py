@@ -54,19 +54,22 @@ class Path:
 class RoutingOutcome:
     """Result of one routing query.
 
-    diameter is the edge count of the returned path; steps_taken counts
-    every forwarding decision made, including dead-end backtracks, so it
-    can exceed the diameter.
+    steps_taken counts every forwarding decision made, including dead-end
+    backtracks, so it can exceed the diameter.
     """
 
     status: RouteStatus
     path: Optional[Path]
-    diameter: int
     steps_taken: int
 
     @property
     def found(self) -> bool:
         return self.status is RouteStatus.FOUND
+
+    @property
+    def diameter(self) -> int:
+        """The edge count of the returned path; 0 without one."""
+        return len(self.path.links) if self.path is not None else 0
 
 
 def route(
@@ -108,7 +111,7 @@ def route(
     target_coord = graph.coord(target)
     graph.coord(source)
     if source == target:
-        return RoutingOutcome(RouteStatus.FOUND, Path((source,), ()), 0, 0)
+        return RoutingOutcome(RouteStatus.FOUND, Path((source,), ()), 0)
 
     planar = graph.k == 2
     if planar:
@@ -152,18 +155,15 @@ def route(
         link_stack.append(best_lid)
         if best_nbr == target:
             return RoutingOutcome(
-                RouteStatus.FOUND,
-                Path(tuple(stack), tuple(link_stack)),
-                len(link_stack),
-                steps,
+                RouteStatus.FOUND, Path(tuple(stack), tuple(link_stack)), steps
             )
         if plan is not None:
             at = position.get(best_nbr, -1)
             if at > furthest:
                 furthest = at
                 if not walked.isdisjoint(stack):
-                    return RoutingOutcome(RouteStatus.BLOCKED, None, 0, steps)
-    return RoutingOutcome(RouteStatus.UNREACHABLE, None, 0, steps)
+                    return RoutingOutcome(RouteStatus.BLOCKED, None, steps)
+    return RoutingOutcome(RouteStatus.UNREACHABLE, None, steps)
 
 
 def shortest_path_oracle(
@@ -177,7 +177,7 @@ def shortest_path_oracle(
     graph.coord(source)
     graph.coord(target)
     if source == target:
-        return RoutingOutcome(RouteStatus.FOUND, Path((source,), ()), 0, 0)
+        return RoutingOutcome(RouteStatus.FOUND, Path((source,), ()), 0)
     parent: dict[NodeId, tuple[NodeId, LinkId]] = {}
     seen = {source}
     queue = deque([source])
@@ -198,10 +198,7 @@ def shortest_path_oracle(
                 nodes.reverse()
                 links.reverse()
                 return RoutingOutcome(
-                    RouteStatus.FOUND,
-                    Path(tuple(nodes), tuple(links)),
-                    len(links),
-                    len(links),
+                    RouteStatus.FOUND, Path(tuple(nodes), tuple(links)), len(links)
                 )
             queue.append(nbr)
-    return RoutingOutcome(RouteStatus.UNREACHABLE, None, 0, 0)
+    return RoutingOutcome(RouteStatus.UNREACHABLE, None, 0)

@@ -62,7 +62,7 @@ from .io import (
     thresholds_to_dict,
 )
 from .overlay import FailureEvent, LinkId, OverlayNetwork, apply_failures
-from .routing import RouteStatus, RoutingOutcome, route
+from .routing import RoutingOutcome, route
 
 
 def _log():
@@ -161,15 +161,30 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 @dataclass(frozen=True)
 class MetricsRecord:
+    """One trial's outcome. routing holds one outcome per scenario demand,
+    and served and rejected split the demands; result is the solver's, None
+    when no demand could be routed."""
+
     trial: int
     routing: tuple[tuple[int, RoutingOutcome], ...]
     links_total: int
     links_adapted: int
-    assign_status: Optional[SolveStatus]
-    objective: Optional[float]
     served: tuple[int, ...]
     rejected: tuple[int, ...]
     result: Optional[SolveResult]
+
+    @property
+    def assign_status(self) -> Optional[SolveStatus]:
+        """None when the trial has no demands; infeasible when any demand
+        is rejected, unroutable ones included."""
+        if not self.routing:
+            return None
+        return SolveStatus.INFEASIBLE if self.rejected else SolveStatus.FEASIBLE
+
+    @property
+    def objective(self) -> Optional[float]:
+        """The solver's objective, kept when only unroutable demands are rejected."""
+        return self.result.objective if self.result is not None else None
 
 
 def _base_network(scenario: Scenario) -> OverlayNetwork:
@@ -196,33 +211,26 @@ def build_trial_instance(
     demands: tuple[Demand, ...],
     outcomes: Mapping[int, RoutingOutcome],
     resource_sets: Mapping[LinkId, ResourceSet],
-) -> tuple[AssignmentInstance, dict[int, int]]:
+) -> tuple[AssignmentInstance, tuple[int, ...]]:
     """Assignment instance over the routable demands.
 
     Resource sets mirror each adapted link's stored state count; contention
     is declared on every state of a link crossed by two or more routed
-    demand paths. Returns the instance plus the map from instance-local
-    demand ids back to scenario demand ids.
+    demand paths. Returns the instance plus the scenario demand id of each
+    instance demand, in instance order.
 
     resource_sets is link_resource_sets of a network that holds every
     link of this one with the same resource_count, such as the base
     network the trial's failures were applied to (failures never change
     resource_count); the instance takes the sets of the adapted links from
-    it, in network.links order. The instance holds no route memo:
+    it, in the adapted set's order, which is network.links order when
+    adapted was built from network. The instance holds no route memo:
     run_scenario owns the trial's routes and hands them to solve_greedy.
     """
-    routable = [
-        qid for qid in sorted(outcomes)
-        if outcomes[qid].status is RouteStatus.FOUND
-    ]
+    routable = [qid for qid in sorted(outcomes) if outcomes[qid].found]
     local_of = {qid: i for i, qid in enumerate(routable)}
     instance_demands = tuple(demands[qid] for qid in routable)
-    retained = adapted.links
-    retained_sets = {
-        link.id: resource_sets[link.id]
-        for link in network.links
-        if link.id in retained
-    }
+    retained_sets = {lid: resource_sets[lid] for lid in adapted.links}
     users_on_link: dict[int, list[int]] = {}
     for qid in routable:
         path = outcomes[qid].path
@@ -246,7 +254,7 @@ def build_trial_instance(
         resource_sets=retained_sets,
         interference=tuple(interference),
     )
-    return instance, {i: qid for qid, i in local_of.items()}
+    return instance, tuple(routable)
 
 
 def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
@@ -294,28 +302,16 @@ def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
             outcomes[qid] = routes[pair]
         t2 = time.perf_counter()
 
-        instance, back = build_trial_instance(
+        instance, routable = build_trial_instance(
             network, graph, adapted, scenario.demands, outcomes, resource_sets
         )
-        unroutable = tuple(
-            qid for qid in sorted(outcomes)
-            if outcomes[qid].status is not RouteStatus.FOUND
-        )
+        result = None
         if instance.demands:
             try:
                 result = solve_exact(instance)
             except TooLargeError:
                 result = solve_greedy(instance, routes)
-            served = tuple(sorted(back[i] for i in result.served))
-            rejected = tuple(sorted({back[i] for i in result.rejected} | set(unroutable)))
-            status = (
-                SolveStatus.INFEASIBLE if unroutable else result.status
-            )
-        else:
-            result = None
-            served = ()
-            rejected = unroutable
-            status = SolveStatus.INFEASIBLE if scenario.demands else None
+        served = () if result is None else tuple(routable[i] for i in result.served)
         t3 = time.perf_counter()
         _log().info(
             "trial %d timings: adapt=%.4fs route=%.4fs assign=%.4fs",
@@ -327,10 +323,8 @@ def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
                 routing=tuple(sorted(outcomes.items())),
                 links_total=len(network.links),
                 links_adapted=len(adapted.links),
-                assign_status=status,
-                objective=result.objective if result is not None else None,
                 served=served,
-                rejected=rejected,
+                rejected=tuple(q for q in outcomes if q not in served),
                 result=result,
             )
         )

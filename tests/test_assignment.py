@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import etopo.assignment
 from etopo import (
     AssignmentInstance,
     AssignmentSolution,
@@ -27,9 +28,11 @@ from etopo import (
     solve_greedy,
     validate_instance,
 )
+from etopo.assignment import BNB_VARIABLE_CAP
 from util import (
     greedy_scenario_payload,
     oracle_solve,
+    parallel_chain,
     random_instance,
     reference_solve_greedy,
 )
@@ -226,6 +229,28 @@ class TestSolveExact:
         inst = build_instance(links, demands)
         with pytest.raises(TooLargeError):
             solve_exact(inst)
+
+    def test_option_cap_bounds_the_path_listing(self, monkeypatch):
+        # 2**12 simple paths, 24 variables: the listing stops once it has
+        # found more than OPTION_CAP paths, and reaching each next path
+        # reads at most one adjacency row per hop.
+        class CountingRows(dict):
+            reads = 0
+
+            def get(self, key, default=None):
+                CountingRows.reads += 1
+                return super().get(key, default)
+
+        hops, cap = 12, 10
+        monkeypatch.setattr(etopo.assignment, "OPTION_CAP", cap)
+        inst = build_instance(parallel_chain(hops).links,
+                              [Demand(user=0, source=0, target=hops, rate=1.0)], n=hops + 1)
+        assert inst.n_variables() <= BNB_VARIABLE_CAP
+        adapted = dataclasses.replace(
+            inst.adapted, adjacency=CountingRows(inst.adapted.adjacency))
+        with pytest.raises(TooLargeError, match=f"more than {cap} simple paths"):
+            solve_exact(dataclasses.replace(inst, adapted=adapted))
+        assert 0 < CountingRows.reads <= (cap + 1) * hops
 
     def test_walks_only_links_that_hold_states(self):
         # One state on one link of K_9: a path over any stateless link
@@ -488,6 +513,47 @@ class TestSolveGreedy:
                 assert result == reference_solve_greedy(inst)
                 assert all(o.status is not RouteStatus.BLOCKED for o in routes.values())
             assert len(stopped) > before
+
+
+class TestSolveResult:
+    """A result is feasible exactly when no demand is rejected, and only a
+    feasible result carries an objective."""
+
+    def test_exact_infeasible_serves_nothing(self):
+        # Infeasible by search (pigeonhole) and with no option at all.
+        pigeonhole = build_instance(
+            [EntangledLink(id=i, a=i, b=3, throughput=9.0) for i in range(3)]
+            + [EntangledLink(id=3, a=3, b=4, throughput=9.0, resource_count=2)],
+            [Demand(user=u, source=u, target=4, rate=1.0) for u in range(3)],
+            interference=[
+                InterferenceSet(link=3, state=s, competing=((0, 0), (1, 1), (2, 2)))
+                for s in (0, 1)
+            ],
+        )
+        for inst in (pigeonhole, unroutable_greedy_instance()):
+            result = solve_exact(inst)
+            assert not result.feasible
+            assert result.solution.C == frozenset() and result.solution.K == frozenset()
+            assert result.objective is None
+            assert result.served == ()
+            assert result.rejected == tuple(range(len(inst.demands)))
+
+    @pytest.mark.parametrize("solver", [solve_exact, solve_greedy])
+    def test_feasible_exactly_when_nothing_is_rejected(self, solver):
+        instances = random_greedy_instances() + spilling_random_instances(count=20)
+        outcomes = set()
+        for inst in instances:
+            try:
+                result = solver(inst)
+            except TooLargeError:
+                continue
+            assert result.feasible == (not result.rejected) == (result.objective is not None)
+            assert result.status is (SolveStatus.FEASIBLE if result.feasible
+                                     else SolveStatus.INFEASIBLE)
+            assert not set(result.served) & set(result.rejected)
+            assert sorted(result.served + result.rejected) == list(range(len(inst.demands)))
+            outcomes.add(result.feasible)
+        assert outcomes == {True, False}
 
 
 class TestValidateInstance:

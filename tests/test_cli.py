@@ -12,8 +12,8 @@ import pytest
 import etopo
 from etopo import EntangledLink, make_network
 from etopo.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
-from etopo.io import load_network, save_network
-from util import greedy_scenario_payload
+from etopo.io import load_network, network_to_dict, save_network
+from util import greedy_scenario_payload, parallel_chain
 
 
 @pytest.fixture(autouse=True)
@@ -357,6 +357,35 @@ class TestAssign:
         bad.write_text(json.dumps(payload))
         assert main(["assign", str(bad)]) == EXIT_CONFIG
         assert "instance.pstar_mode: " in capsys.readouterr().err
+
+    def test_path_rich_instance_falls_back_to_greedy(self, tmp_path, capsys):
+        # 40 variables, within the exact solver's cap, but 2**20 simple
+        # paths: the exact solver stops listing them and auto solves greedily.
+        hops = 20
+        payload = {
+            "network": network_to_dict(parallel_chain(hops)),
+            "base_graph": {"k": 1, "n": hops + 1,
+                           "placement": [{"node": i, "coords": [i]} for i in range(hops + 1)]},
+            "demands": [{"user": 0, "source": 0, "target": hops, "rate": 1.0}],
+            "resource_sets": [{"link": i, "states": [0]} for i in range(2 * hops)],
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(payload))
+        assert main(["assign", str(path), "--solver", "auto"]) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)
+        assert result["status"] == "feasible" and result["served"] == [0]
+        assert len(result["C"]) == hops
+
+    def test_no_demands_is_feasible(self, instance_file, tmp_path, capsys):
+        payload = json.loads(instance_file.read_text())
+        payload["demands"] = []
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(payload))
+        for solver in ("auto", "exact", "greedy"):
+            assert main(["assign", str(path), "--solver", solver]) == EXIT_OK
+            result = json.loads(capsys.readouterr().out)
+            assert result == {"status": "feasible", "objective": 0, "C": [], "K": [],
+                              "served": [], "rejected": []}
 
     def test_infeasible_exit_code(self, instance_file, tmp_path, capsys):
         payload = json.loads(instance_file.read_text())

@@ -192,6 +192,10 @@ CROSS_RECORD = [
     ("thresholds", ("levels",), {"x": 0.2}, "thresholds.levels.x"),
     ("thresholds", ("levels",), {"2": 1.5}, "thresholds.levels.2"),
     ("thresholds", ("default",), -0.5, "thresholds.default"),
+    ("network", ("nodes",), [0, 1, 2, 1], "network.nodes[3]"),
+    ("scenario-inline", ("network", "nodes"), [0, 0, 1, 2], "scenario.network.nodes[1]"),
+    ("graph", ("vertices",), [0, 1, 1, 2], "graph.vertices[2]"),
+    ("graph", ("k_star",), -3, "graph.k_star"),
 ]
 
 

@@ -98,7 +98,7 @@ class TestPlan:
         # whose plan rest 2-3 is unvisited, so the path must cross 1.
         graph, adapted = placed_line([0, 5, 7, 9, 3], [(0, 1), (1, 2), (2, 3), (1, 4)])
         out = route(graph, adapted, 4, 3, plan=plan_of([0, 1, 2, 3], {0, 1}))
-        assert out == RoutingOutcome(RouteStatus.BLOCKED, None, 0, 1)
+        assert out == RoutingOutcome(RouteStatus.BLOCKED, None, 1)
         full = route(graph, adapted, 4, 3)
         assert full.found and full.path.nodes == (4, 1, 2, 3)
 
@@ -111,7 +111,7 @@ class TestPlan:
             [(0, 1), (1, 2), (2, 3), (3, 4), (2, 0), (0, 5), (5, 3)],
         )
         out = route(graph, adapted, 2, 4, plan=plan_of([0, 1, 2, 3, 4], {0, 1}))
-        assert out == RoutingOutcome(RouteStatus.BLOCKED, None, 0, 3)
+        assert out == RoutingOutcome(RouteStatus.BLOCKED, None, 3)
         full = route(graph, adapted, 2, 4)
         assert full.found and full.path.nodes == (2, 0, 5, 3, 4)
 

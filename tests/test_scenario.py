@@ -255,6 +255,61 @@ class TestRunScenario:
             assert rec.served == () and rec.rejected == (0, 1)
 
 
+class TestRecordOutcomes:
+    """A record's status and objective follow from its served and rejected
+    demands and its solver result."""
+
+    @staticmethod
+    def solutions(scenario):
+        records = run_scenario(scenario)
+        return records, records_to_solutions(scenario, records)["trials"]
+
+    def test_no_demands(self):
+        records, trials = self.solutions(line_scenario(demands=()))
+        for rec, entry in zip(records, trials):
+            assert rec.assign_status is None and rec.objective is None
+            assert rec.result is None
+            assert rec.served == rec.rejected == ()
+            assert entry["assign_status"] is None and entry["objective"] is None
+            assert "C" not in entry and "K" not in entry
+        assert records_to_csv(records).splitlines()[1] == "0,3,3,0,0,0,,,"
+
+    def test_every_demand_unroutable(self):
+        scenario = line_scenario(
+            thresholds=ThresholdPolicy(default=0.9),
+            demands=(Demand(user=0, source=0, target=3, rate=1.0),
+                     Demand(user=1, source=1, target=2, rate=1.0)),
+        )
+        records, trials = self.solutions(scenario)
+        for rec, entry in zip(records, trials):
+            assert rec.assign_status is SolveStatus.INFEASIBLE
+            assert rec.result is None and rec.objective is None
+            assert rec.served == () and rec.rejected == (0, 1)
+            assert entry["assign_status"] == "infeasible" and entry["objective"] is None
+            assert "C" not in entry
+
+    def test_an_unroutable_demand_next_to_a_served_one(self):
+        # Node 4 is placed but holds no link, so demand 1 cannot be routed;
+        # demand 0 is solved, and its objective is kept.
+        scenario = line_scenario(
+            network_inline=make_network(range(5), line_network().links),
+            n=5,
+            placement={i: (i,) for i in range(5)},
+            demands=(Demand(user=0, source=0, target=3, rate=1.0),
+                     Demand(user=1, source=0, target=4, rate=1.0)),
+        )
+        records, trials = self.solutions(scenario)
+        for rec, entry in zip(records, trials):
+            assert rec.routing[1][1].status is RouteStatus.UNREACHABLE
+            assert rec.assign_status is SolveStatus.INFEASIBLE
+            assert rec.served == (0,) and rec.rejected == (1,)
+            assert rec.result is not None and rec.result.feasible
+            assert rec.objective == rec.result.objective == pytest.approx(0.75)
+            assert entry["assign_status"] == "infeasible"
+            assert entry["objective"] == pytest.approx(0.75)
+            assert sorted(map(tuple, entry["C"])) == [(0, 0, 0), (0, 1, 0), (0, 2, 0)]
+
+
 class TestGenerators:
     def test_generate_network_is_seed_deterministic(self):
         params = GeneratorParams(num_nodes=8, num_links=12, levels=(1, 2))

@@ -30,7 +30,6 @@ from etopo import (
     RouteStatus,
     RoutingOutcome,
     SolveResult,
-    SolveStatus,
     ThresholdPolicy,
     adapt,
     l1_distance,
@@ -113,7 +112,7 @@ def reference_route(graph, adapted, source, target) -> RoutingOutcome:
     target_coord = graph.coord(target)
     graph.coord(source)
     if source == target:
-        return RoutingOutcome(RouteStatus.FOUND, Path((source,), ()), 0, 0)
+        return RoutingOutcome(RouteStatus.FOUND, Path((source,), ()), 0)
     visited = {source}
     stack, link_stack, steps = [source], [], 0
     while stack:
@@ -136,8 +135,8 @@ def reference_route(graph, adapted, source, target) -> RoutingOutcome:
         link_stack.append(lid)
         if nbr == target:
             return RoutingOutcome(RouteStatus.FOUND, Path(tuple(stack), tuple(link_stack)),
-                                  len(link_stack), steps)
-    return RoutingOutcome(RouteStatus.UNREACHABLE, None, 0, steps)
+                                  steps)
+    return RoutingOutcome(RouteStatus.UNREACHABLE, None, steps)
 
 
 def reference_oracle(graph, adapted, source, target) -> RoutingOutcome:
@@ -154,7 +153,7 @@ def reference_oracle(graph, adapted, source, target) -> RoutingOutcome:
                     next_frontier.append(nbr)
         frontier = next_frontier
     if target not in parent:
-        return RoutingOutcome(RouteStatus.UNREACHABLE, None, 0, 0)
+        return RoutingOutcome(RouteStatus.UNREACHABLE, None, 0)
     nodes, links = [target], []
     while parent[nodes[-1]] is not None:
         prev, lid = parent[nodes[-1]]
@@ -163,7 +162,7 @@ def reference_oracle(graph, adapted, source, target) -> RoutingOutcome:
     nodes.reverse()
     links.reverse()
     return RoutingOutcome(RouteStatus.FOUND, Path(tuple(nodes), tuple(links)),
-                          len(links), len(links))
+                          len(links))
 
 
 def reference_simple_paths(graph, adapted, source, target):
@@ -563,6 +562,16 @@ def brute_force_colorable(vertices, edges, colors: int) -> bool:
     return False
 
 
+def parallel_chain(hops: int):
+    """Nodes 0 .. hops in a chain, each hop two parallel links (levels 1 and
+    2) of one state: 2 * hops assignment variables for one demand from end
+    to end, but 2**hops simple paths."""
+    return make_network(range(hops + 1), [
+        EntangledLink(id=2 * i + j, a=i, b=i + 1, level=1 + j, throughput=9.0)
+        for i in range(hops) for j in range(2)
+    ])
+
+
 # -- a small multi-user scenario -----------------------------------------------
 
 
@@ -662,9 +671,7 @@ def reference_solve_greedy(
             load[link] = load.get(link, 0.0) + demand.rate
 
     solution = AssignmentSolution.from_C(instance, frozenset(C))
-    status = SolveStatus.FEASIBLE if not rejected else SolveStatus.INFEASIBLE
     return SolveResult(
-        status=status,
         solution=solution,
         objective=objective(instance, solution) if not rejected else None,
         served=tuple(sorted(served)),
