@@ -24,7 +24,7 @@ from typing import Collection, Container, Mapping, MutableMapping, NamedTuple, O
 from .adaption import AdaptedLinkSet
 from .basegraph import BaseGraph
 from .errors import NotFoundError, TooLargeError, Violation
-from .overlay import LinkId, NodeId, OverlayNetwork
+from .overlay import LinkId, NodeId, OverlayNetwork, slot_setters
 from .routing import Plan, RouteStatus, RoutingOutcome, route
 
 StateId = int
@@ -63,19 +63,21 @@ class Demand:
             raise ValueError(f"demand rate must be finite, got {self.rate}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ResourceSet:
     """The stored entangled states available on one link."""
 
     link: LinkId
     states: tuple[StateId, ...]
 
-    def __post_init__(self) -> None:
-        if len(set(self.states)) != len(self.states):
-            raise ValueError(f"resource set of link {self.link} has duplicate state ids")
+    def __init__(self, link: LinkId, states: tuple[StateId, ...]) -> None:
+        if len(set(states)) != len(states):
+            raise ValueError(f"resource set of link {link} has duplicate state ids")
+        _set_rs_link(self, link)
+        _set_rs_states(self, states)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class InterferenceSet:
     """Demands contending for one resource state at an intermediate node.
 
@@ -87,9 +89,14 @@ class InterferenceSet:
     state: StateId
     competing: tuple[tuple[UserId, DemandId], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.competing) < 2:
+    def __init__(
+        self, link: LinkId, state: StateId, competing: tuple[tuple[UserId, DemandId], ...]
+    ) -> None:
+        if len(competing) < 2:
             raise ValueError("an interference set needs at least two competing demands")
+        _set_is_link(self, link)
+        _set_is_state(self, state)
+        _set_is_competing(self, competing)
 
     @property
     def resource(self) -> ResourceRef:
@@ -98,6 +105,10 @@ class InterferenceSet:
     @property
     def competing_demands(self) -> frozenset[DemandId]:
         return frozenset(q for _, q in self.competing)
+
+
+_set_rs_link, _set_rs_states = slot_setters(ResourceSet)
+_set_is_link, _set_is_state, _set_is_competing = slot_setters(InterferenceSet)
 
 
 @dataclass(frozen=True)
@@ -595,6 +606,8 @@ def solve_greedy(
         routes = {}
     adjacency = instance.adapted.adjacency_on(instance.graph)
     capacity = {link.id: link.throughput for link in instance.network.links}
+    # States stored per link; a link without a resource set stores none.
+    stored = {link: len(rs.states) for link, rs in instance.resource_sets.items()}
     # States taken and rate carried per link, by served demands only. A
     # demand's walk is node-simple and every link it asks for leads off
     # the walk, so it never asks twice for one link or for one it holds.
@@ -624,7 +637,7 @@ def solve_greedy(
         i = 0
         while i < len(links):
             link = links[i]
-            if (used.get(link, 0) < len(instance.states_of(link))
+            if (used.get(link, 0) < stored.get(link, 0)
                     and load.get(link, 0.0) + rate <= capacity[link]):
                 hops.append(link)
                 current = nodes[i + 1]
@@ -638,7 +651,7 @@ def solve_greedy(
             # the first memo miss, is the walk then the rest of its route.
             plan = None
             for nbr, alt, _ in adjacency.get(current, ()):
-                if (nbr in walked or used.get(alt, 0) >= len(instance.states_of(alt))
+                if (nbr in walked or used.get(alt, 0) >= stored.get(alt, 0)
                         or load.get(alt, 0.0) + rate > capacity[alt]):
                     continue
                 pair = (nbr, demand.target)

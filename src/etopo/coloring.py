@@ -108,12 +108,17 @@ def color_graph(graph: ConflictGraph, colors: int) -> ColoringResult:
     """
     if colors < 0:
         raise ValueError("color count must be nonnegative")
-    vertices = sorted(graph.vertices, key=lambda v: (-len(graph.neighbors(v)), v))
+    # Every vertex's neighbours in one pass over the edges; the graph
+    # checked that each edge joins two distinct vertices of its own.
+    adjacency: dict[Vertex, set[Vertex]] = {v: set() for v in graph.vertices}
+    for u, v in graph.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    vertices = sorted(graph.vertices, key=lambda v: (-len(adjacency[v]), v))
     if not vertices:
         return ColoringResult(ColoringStatus.COLORED, Coloring({}))
     if colors == 0:
         return ColoringResult(ColoringStatus.INFEASIBLE)
-    adjacency = {v: graph.neighbors(v) for v in vertices}
 
     if len(vertices) <= EXACT_COLORING_CAP:
         assigned: dict[Vertex, int] = {}

@@ -105,21 +105,38 @@ def generate_network(params: GeneratorParams, seed: int) -> OverlayNetwork:
         pair, j = divmod(i, len(levels))
         a = bisect.bisect_right(row_starts, pair) - 1
         chosen.append((a, a + 1 + pair - row_starts[a], levels[j]))
+    # Each link draws, in this order, swap_success, photon_loss, fidelity
+    # and throughput as rng.uniform(lo, hi) and resource_count as
+    # rng.randint(lo, hi), without those helpers' frames. On CPython 3.10
+    # to 3.13 uniform returns lo + (hi - lo) * random(), the expression
+    # below with hi - lo taken once (the same float), for lo > hi too; and
+    # randint(lo, hi) returns lo plus randrange's rejection loop over
+    # getrandbits for the width hi - lo + 1, as _sample_long_range draws
+    # dx. So the random stream is consumed, and each value made, exactly
+    # as those calls do.
+    random_ = rng.random
+    getrandbits = rng.getrandbits
+    swap_lo, swap_hi = params.swap_range
+    loss_lo, loss_hi = params.loss_range
+    fid_lo, fid_hi = params.fidelity_range
+    thr_lo, thr_hi = params.throughput_range
+    res_lo, res_hi = params.resource_range
+    swap_span, loss_span = swap_hi - swap_lo, loss_hi - loss_lo
+    fid_span, thr_span = fid_hi - fid_lo, thr_hi - thr_lo
+    res_width = res_hi - res_lo + 1
+    res_bits = res_width.bit_length()
     links = []
+    append = links.append
     for link_id, (a, b, level) in enumerate(sorted(chosen)):
-        links.append(
-            EntangledLink(
-                id=link_id,
-                a=a,
-                b=b,
-                level=level,
-                swap_success=rng.uniform(*params.swap_range),
-                photon_loss=rng.uniform(*params.loss_range),
-                fidelity=rng.uniform(*params.fidelity_range),
-                throughput=rng.uniform(*params.throughput_range),
-                resource_count=rng.randint(*params.resource_range),
-            )
-        )
+        swap = swap_lo + swap_span * random_()
+        loss = loss_lo + loss_span * random_()
+        fidelity = fid_lo + fid_span * random_()
+        throughput = thr_lo + thr_span * random_()
+        r = getrandbits(res_bits)
+        while r >= res_width:
+            r = getrandbits(res_bits)
+        append(EntangledLink(link_id, a, b, level, swap, loss, fidelity, throughput,
+                             res_lo + r))
     return make_network(nodes, links)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import InvalidLevelError, NotFoundError, Violation
 
@@ -25,6 +25,18 @@ def hop_distance(level: int) -> int:
     if level < 1:
         raise InvalidLevelError(f"entanglement level must be >= 1, got {level}")
     return 2 ** (level - 1)
+
+
+def slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
+    """The slot descriptors' setters of a frozen, slotted dataclass, bound
+    once, in field order.
+
+    A record whose checked __init__ is hand-written (init=False) stores
+    each field through them, since the frozen class's own __setattr__
+    raises. That skips the object.__setattr__ lookup and call per field
+    that a generated frozen __init__ makes.
+    """
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -112,12 +124,8 @@ class EntangledLink:
         raise NotFoundError(f"node {node} is not an endpoint of link {self.id}")
 
 
-# The slot descriptors' setters, bound once; EntangledLink.__init__ stores
-# each field through them.
 (_set_id, _set_a, _set_b, _set_level, _set_swap_success, _set_photon_loss,
- _set_fidelity, _set_throughput, _set_resource_count) = (
-    EntangledLink.__dict__[f.name].__set__ for f in fields(EntangledLink)
-)
+ _set_fidelity, _set_throughput, _set_resource_count) = slot_setters(EntangledLink)
 
 
 def link_existence_probability(link: EntangledLink) -> float:

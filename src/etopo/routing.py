@@ -17,7 +17,7 @@ from typing import AbstractSet, Mapping, NamedTuple, Optional
 from .adaption import AdaptedLinkSet
 from .basegraph import BaseGraph
 from .errors import NotFoundError
-from .overlay import LinkId, NodeId
+from .overlay import LinkId, NodeId, slot_setters
 
 
 class RouteStatus(str, Enum):
@@ -38,19 +38,21 @@ class Plan(NamedTuple):
     walked: AbstractSet[NodeId]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Path:
     """A simple path: node sequence plus the link taken at each hop."""
 
     nodes: tuple[NodeId, ...]
     links: tuple[LinkId, ...]
 
-    def __post_init__(self) -> None:
-        if self.nodes and len(self.links) != len(self.nodes) - 1:
+    def __init__(self, nodes: tuple[NodeId, ...], links: tuple[LinkId, ...]) -> None:
+        if nodes and len(links) != len(nodes) - 1:
             raise ValueError("path must carry exactly one link per hop")
+        _set_path_nodes(self, nodes)
+        _set_path_links(self, links)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RoutingOutcome:
     """Result of one routing query.
 
@@ -62,6 +64,11 @@ class RoutingOutcome:
     path: Optional[Path]
     steps_taken: int
 
+    def __init__(self, status: RouteStatus, path: Optional[Path], steps_taken: int) -> None:
+        _set_status(self, status)
+        _set_path(self, path)
+        _set_steps_taken(self, steps_taken)
+
     @property
     def found(self) -> bool:
         return self.status is RouteStatus.FOUND
@@ -70,6 +77,10 @@ class RoutingOutcome:
     def diameter(self) -> int:
         """The edge count of the returned path; 0 without one."""
         return len(self.path.links) if self.path is not None else 0
+
+
+_set_path_nodes, _set_path_links = slot_setters(Path)
+_set_status, _set_path, _set_steps_taken = slot_setters(RoutingOutcome)
 
 
 def route(

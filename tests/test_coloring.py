@@ -22,7 +22,8 @@ from etopo import (
     solve_exact,
 )
 from etopo.assignment import AssignmentInstance
-from util import brute_force_colorable, oracle_solve
+from etopo.coloring import EXACT_COLORING_CAP
+from util import brute_force_colorable, oracle_solve, reference_color_graph
 
 
 def interference_instance(isets):
@@ -145,6 +146,20 @@ class TestColorGraph:
             range(25), itertools.combinations(range(25), 2)
         )
         assert color_graph(clique, 3).status is ColoringStatus.UNKNOWN_INFEASIBLE
+
+
+    # Vertex counts on both sides of the exact cap, ids spread out so a
+    # vertex's rank is not its id, edge densities from empty to complete.
+    @pytest.mark.parametrize("n", [0, 1, 5, EXACT_COLORING_CAP, EXACT_COLORING_CAP + 1, 60])
+    @pytest.mark.parametrize("density", [0.0, 0.15, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference(self, n, density, seed):
+        rng = random.Random(seed * 1000 + n)
+        vertices = rng.sample(range(10 * n + 1), n)
+        edges = [e for e in itertools.combinations(vertices, 2) if rng.random() < density]
+        graph = make_conflict_graph(vertices, edges)
+        for colors in range(0, 6):
+            assert color_graph(graph, colors) == reference_color_graph(graph, colors)
 
 
 class TestIsProper:

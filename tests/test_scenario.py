@@ -408,6 +408,28 @@ class TestGenerators:
                                  resource_range=(0, 3))
         assert generate_network(params, seed) == reference_generate_network(params, seed)
 
+    # generate_network draws with random() and getrandbits, not with uniform
+    # and randint; the reference keeps those helpers. Ranges at the edges of
+    # what GeneratorParams accepts must give the same values and leave the
+    # stream where the helpers leave it.
+    @pytest.mark.parametrize("ranges", [
+        {"resource_range": (0, 0)},
+        {"resource_range": (1, 1)},
+        {"resource_range": (2, 1000)},
+        {"loss_range": (0.25, 0.25), "fidelity_range": (1, 1)},
+        {"swap_range": (0.9, 0.2), "throughput_range": (10, 1)},
+        {"throughput_range": (0.0, 1e6)},
+    ], ids=["res-0-0", "res-1-1", "res-2-1000", "lo-eq-hi", "lo-gt-hi", "thr-0-1e6"])
+    @pytest.mark.parametrize("num_nodes, num_links", [(2, 1), (12, 40), (120, 480)])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_generate_network_matches_reference_at_range_edges(
+        self, ranges, num_nodes, num_links, seed
+    ):
+        params = GeneratorParams(num_nodes=num_nodes, num_links=num_links, **ranges)
+        net, ref = generate_network(params, seed), reference_generate_network(params, seed)
+        assert net == ref
+        assert repr(net.links) == repr(ref.links)  # 1 == 1.0, but not in repr
+
     @pytest.mark.parametrize("num_nodes, levels", [(2, (1,)), (10, (1, 2)), (40, (3, 1, 2))])
     def test_too_many_links_message_is_unchanged(self, num_nodes, levels):
         slots = num_nodes * (num_nodes - 1) // 2 * len(levels)

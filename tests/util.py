@@ -17,7 +17,11 @@ from typing import Optional
 from etopo import (
     AssignmentInstance,
     AssignmentSolution,
+    Coloring,
+    ColoringResult,
+    ColoringStatus,
     ConfigError,
+    ConflictGraph,
     Demand,
     EntangledLink,
     GeneratorParams,
@@ -48,6 +52,7 @@ from etopo.assignment import (
     RouteMemo,
     StateId,
 )
+from etopo.coloring import EXACT_COLORING_CAP
 
 DENOM = 64
 
@@ -560,6 +565,54 @@ def brute_force_colorable(vertices, edges, colors: int) -> bool:
         if all(assignment[index[u]] != assignment[index[v]] for u, v in edges):
             return True
     return False
+
+
+# color_graph as it was before it built its adjacency in one pass over the
+# edges: each vertex's neighbours come from ConflictGraph.neighbors, a scan
+# of every edge, twice per vertex. color_graph must return the same result.
+
+
+def reference_color_graph(graph: ConflictGraph, colors: int) -> ColoringResult:
+    if colors < 0:
+        raise ValueError("color count must be nonnegative")
+    vertices = sorted(graph.vertices, key=lambda v: (-len(graph.neighbors(v)), v))
+    if not vertices:
+        return ColoringResult(ColoringStatus.COLORED, Coloring({}))
+    if colors == 0:
+        return ColoringResult(ColoringStatus.INFEASIBLE)
+    adjacency = {v: graph.neighbors(v) for v in vertices}
+
+    if len(vertices) <= EXACT_COLORING_CAP:
+        assigned: dict[int, int] = {}
+
+        def backtrack(pos: int, used: int) -> bool:
+            if pos == len(vertices):
+                return True
+            v = vertices[pos]
+            blocked = {assigned[u] for u in adjacency[v] if u in assigned}
+            for c in range(min(used + 1, colors)):
+                if c in blocked:
+                    continue
+                assigned[v] = c
+                if backtrack(pos + 1, max(used, c + 1)):
+                    return True
+                del assigned[v]
+            return False
+
+        if backtrack(0, 0):
+            return ColoringResult(ColoringStatus.COLORED, Coloring(dict(assigned)))
+        return ColoringResult(ColoringStatus.INFEASIBLE)
+
+    assigned = {}
+    for v in vertices:
+        blocked = {assigned[u] for u in adjacency[v] if u in assigned}
+        for c in range(colors):
+            if c not in blocked:
+                assigned[v] = c
+                break
+        else:
+            return ColoringResult(ColoringStatus.UNKNOWN_INFEASIBLE)
+    return ColoringResult(ColoringStatus.COLORED, Coloring(assigned))
 
 
 def parallel_chain(hops: int):
