@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Collection, Container, Mapping, MutableMapping, NamedTuple, Optional, Sequence
 
 from .adaption import AdaptedLinkSet
@@ -102,10 +103,6 @@ class InterferenceSet:
     def resource(self) -> ResourceRef:
         return (self.link, self.state)
 
-    @property
-    def competing_demands(self) -> frozenset[DemandId]:
-        return frozenset(q for _, q in self.competing)
-
 
 _set_rs_link, _set_rs_states = slot_setters(ResourceSet)
 _set_is_link, _set_is_state, _set_is_competing = slot_setters(InterferenceSet)
@@ -126,11 +123,31 @@ class AssignmentInstance:
         except IndexError:
             raise NotFoundError(f"no demand with id {qid}") from None
 
+    @cached_property
+    def _by_user(self) -> dict[UserId, DemandId]:
+        return {d.user: qid for qid, d in reversed(list(enumerate(self.demands)))}
+
     def demand_of_user(self, user: UserId) -> tuple[DemandId, Demand]:
-        for qid, d in enumerate(self.demands):
-            if d.user == user:
-                return qid, d
-        raise NotFoundError(f"no demand for user {user}")
+        """The user's first demand, with its id."""
+        try:
+            qid = self._by_user[user]
+        except KeyError:
+            raise NotFoundError(f"no demand for user {user}") from None
+        return qid, self.demands[qid]
+
+    @cached_property
+    def rivals(self) -> dict[tuple[DemandId, ResourceRef], tuple[DemandId, ...]]:
+        """For each demand and resource state an interference set names it
+        on, the other demands of those sets in id order: the demands that
+        may not hold that state alongside it. Two sets on one state make no
+        rivals of each other's demands. The index lives as long as the
+        instance, so its values are tuples: under half the memory of sets."""
+        rivals: dict[tuple[DemandId, ResourceRef], set[DemandId]] = {}
+        for iset in self.interference:
+            ref, competitors = iset.resource, {q for _, q in iset.competing}
+            for qid in competitors:
+                rivals.setdefault((qid, ref), set()).update(competitors - {qid})
+        return {key: tuple(sorted(qids)) for key, qids in rivals.items() if qids}
 
     def states_of(self, link: LinkId) -> tuple[StateId, ...]:
         rs = self.resource_sets.get(link)
@@ -142,8 +159,9 @@ class AssignmentInstance:
 
 
 def validate_instance(instance: AssignmentInstance) -> list[Violation]:
-    """Structural checks: link membership, state sizes, user uniqueness. Each
-    message starts with the field path of its record in an instance file."""
+    """Structural checks: link membership, state sizes, user uniqueness,
+    demands named once per interference record. Each message starts with
+    the field path of its record in an instance file."""
     violations: list[Violation] = []
 
     def report(code: str, subject: object, path: str, message: str) -> None:
@@ -152,10 +170,10 @@ def validate_instance(instance: AssignmentInstance) -> list[Violation]:
     placement, adapted = instance.graph.placement, instance.adapted.links
     users: set[UserId] = set()
     for qid, d in enumerate(instance.demands):
-        users.add(d.user)
-        if len(users) == qid:  # the user already had an earlier demand
+        if d.user in users:
             report("duplicate-user", [e.user for e in instance.demands],
                    f".demands[{qid}].user", f"user {d.user} already has a demand")
+        users.add(d.user)
         if d.source not in placement:
             report("unmapped-node", d.source, f".demands[{qid}].source",
                    f"demand endpoint {d.source} is not placed")
@@ -181,10 +199,15 @@ def validate_instance(instance: AssignmentInstance) -> list[Violation]:
         if iset.state not in instance.states_of(iset.link):
             report("unknown-state", iset.resource, f".interference[{i}].state",
                    f"link {iset.link} has no state {iset.state}")
+        listed: set[tuple[UserId, DemandId]] = set()
         for j, entry in enumerate(iset.competing):
             if entry not in known:
                 report("unknown-demand", entry, f".interference[{i}].competing[{j}]",
                        f"user {entry[0]} has no demand {entry[1]}")
+            if entry in listed:
+                report("repeated-demand", entry, f".interference[{i}].competing[{j}]",
+                       f"demand {entry[1]} of user {entry[0]} is already listed")
+            listed.add(entry)
     return violations
 
 
@@ -247,21 +270,21 @@ def check_capacity(
 def check_interference(
     instance: AssignmentInstance, solution: AssignmentSolution
 ) -> list[Violation]:
-    """At most one competing demand granted per contested resource state."""
+    """No resource state assigned or granted to two demands that are
+    rivals for it; one violation per such state, naming the demands that
+    hold it alongside a rival."""
+    holders: dict[ResourceRef, set[DemandId]] = {}
+    for user, link, state in solution.C:
+        if user in instance._by_user:
+            holders.setdefault((link, state), set()).add(instance._by_user[user])
+    for _, qid, ref in solution.K:
+        holders.setdefault(ref, set()).add(qid)
     violations = []
-    for iset in instance.interference:
-        granted = set()
-        for user, qid in iset.competing:
-            if (user, qid, iset.resource) in solution.K:
-                granted.add(qid)
-            if (user, iset.link, iset.state) in solution.C:
-                granted.add(qid)
-        if len(granted) > 1:
-            violations.append(
-                Violation("interference", iset.resource,
-                          f"state {iset.resource} granted to {len(granted)} competing "
-                          f"demands {sorted(granted)}")
-            )
+    for ref, held in sorted(holders.items()):
+        granted = sorted(q for q in held if not held.isdisjoint(instance.rivals.get((q, ref), ())))
+        if granted:
+            violations.append(Violation("interference", ref, f"state {ref} granted to "
+                                        f"{len(granted)} competing demands {granted}"))
     return violations
 
 
@@ -442,19 +465,6 @@ def _result(
     )
 
 
-def _rivals(
-    instance: AssignmentInstance,
-) -> dict[tuple[DemandId, ResourceRef], frozenset[DemandId]]:
-    """For each demand and resource state it competes for, the other
-    demands that may not be granted that state alongside it."""
-    rivals: dict[tuple[DemandId, ResourceRef], set[DemandId]] = {}
-    for iset in instance.interference:
-        competitors = iset.competing_demands
-        for qid in competitors:
-            rivals.setdefault((qid, iset.resource), set()).update(competitors - {qid})
-    return {key: frozenset(qids) for key, qids in rivals.items() if qids}
-
-
 def solve_exact(
     instance: AssignmentInstance, bnb_cap: int = BNB_VARIABLE_CAP
 ) -> SolveResult:
@@ -479,7 +489,7 @@ def solve_exact(
     order = list(range(len(instance.demands)))
     rate = {qid: instance.demand(qid).rate for qid in order}
     capacity = {link.id: link.throughput for link in instance.network.links}
-    rivals = _rivals(instance)
+    rivals = instance.rivals
     # States of a link with the same rivals for every demand can be swapped
     # in any assignment at no change in cost or feasibility, and putting the
     # smaller state first gives smaller entries: the rule's optimum opens

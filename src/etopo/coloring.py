@@ -57,20 +57,16 @@ def make_conflict_graph(
 def build_conflict_graph(instance: AssignmentInstance) -> ConflictGraph:
     """Conflict graph of an instance's interfering entangled states.
 
-    Each demand appearing in an interference set contributes one vertex
-    (its held entangled state); demands competing for the same resource
-    state are pairwise conflicting. k_star counts the distinct interfering
-    states.
+    Each demand with a rival contributes one vertex (its held entangled
+    state), and an edge joins it to each of its rivals. k_star counts the
+    distinct interfering states.
     """
-    vertices: set[Vertex] = set()
-    edges: set[Edge] = set()
-    for iset in instance.interference:
-        qids = sorted(iset.competing_demands)
-        vertices.update(qids)
-        for i, u in enumerate(qids):
-            for v in qids[i + 1:]:
-                edges.add(_normalize_edge(u, v))
-    return ConflictGraph(frozenset(vertices), frozenset(edges), k_star=len(vertices))
+    vertices = frozenset(qid for qid, _ in instance.rivals)
+    edges = frozenset(
+        (qid, rival) for (qid, _), rivals in instance.rivals.items()
+        for rival in rivals if qid < rival
+    )
+    return ConflictGraph(vertices, edges, k_star=len(vertices))
 
 
 class ColoringStatus(str, Enum):

@@ -125,10 +125,12 @@ def _integer_pairs(value: Any, context: str, key: Union[str, int]) -> tuple:
 
 
 def _load_json(path: PathLike) -> Any:
+    # ValueError covers malformed JSON, bytes that do not decode and integer
+    # literals over the int-string limit; RecursionError too deep a nesting.
     try:
         with open(path, "rb") as fh:
             return json.loads(fh.read())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -11,6 +11,7 @@ from etopo import (
     Demand,
     EntangledLink,
     InterferenceSet,
+    NotFoundError,
     ResourceSet,
     RouteStatus,
     SolveStatus,
@@ -35,6 +36,7 @@ from util import (
     parallel_chain,
     random_instance,
     reference_solve_greedy,
+    trial_instances,
 )
 
 
@@ -103,6 +105,11 @@ class TestObjective:
         both = AssignmentSolution(a.C | b.C)
         assert objective(inst, both) == objective(inst, a) + objective(inst, b)
 
+    def test_user_without_demand_is_not_found(self):
+        inst = two_hop_instance()
+        with pytest.raises(NotFoundError, match="no demand for user 5"):
+            objective(inst, AssignmentSolution(frozenset({(0, 0, 0), (5, 1, 0)})))
+
 
 class TestCapacity:
     def test_within_capacity(self):
@@ -126,6 +133,11 @@ class TestCapacity:
     def test_empty_is_ok(self):
         inst = two_hop_instance()
         assert check_capacity(inst, AssignmentSolution(frozenset())) == []
+
+    def test_user_without_demand_is_not_found(self):
+        inst = two_hop_instance()
+        with pytest.raises(NotFoundError, match="no demand for user 5"):
+            check_capacity(inst, AssignmentSolution(frozenset({(5, 0, 0)})))
 
 
 class TestFlowImbalance:
@@ -396,23 +408,10 @@ def spilling_random_instances(count=60, seed=31):
     return instances
 
 
-def greedy_scenario_trials(monkeypatch):
+def greedy_scenario_trials():
     """The two trial instances that `run_scenario` builds from
     greedy_scenario_payload(), both solved greedily."""
-    import etopo.scenario
-    from etopo import run_scenario, scenario_from_dict
-
-    build = etopo.scenario.build_trial_instance
-    trials = []
-
-    def keep(*args, **kwargs):
-        built = build(*args, **kwargs)
-        trials.append(built[0])
-        return built
-
-    monkeypatch.setattr(etopo.scenario, "build_trial_instance", keep)
-    run_scenario(scenario_from_dict(greedy_scenario_payload()))
-    monkeypatch.setattr(etopo.scenario, "build_trial_instance", build)
+    trials = trial_instances(greedy_scenario_payload())
     assert len(trials) == 2
     return trials
 
@@ -460,7 +459,7 @@ class TestSolveGreedy:
             # A memo already filled by an earlier call is read, not re-walked.
             assert solve_greedy(inst, routes) == expected
 
-    def test_matches_reference(self, monkeypatch):
+    def test_matches_reference(self):
         instances = [parallel_greedy_instance(), spill_greedy_instance(),
                      unroutable_greedy_instance(), *random_greedy_instances()]
         for inst in spilling_random_instances():
@@ -468,7 +467,7 @@ class TestSolveGreedy:
             reversed_sets = {lid: ResourceSet(lid, rs.states[::-1])
                              for lid, rs in inst.resource_sets.items()}
             instances += [inst, dataclasses.replace(inst, resource_sets=reversed_sets)]
-        instances.extend(greedy_scenario_trials(monkeypatch))
+        instances.extend(greedy_scenario_trials())
 
         rejections = 0
         for inst in instances:
@@ -505,7 +504,7 @@ class TestSolveGreedy:
             return outcome
 
         monkeypatch.setattr(etopo.assignment, "route", checked)
-        for instances in (spilling_random_instances(), greedy_scenario_trials(monkeypatch)):
+        for instances in (spilling_random_instances(), greedy_scenario_trials()):
             before = len(stopped)
             for inst in instances:
                 routes = {}
@@ -570,4 +569,29 @@ class TestValidateInstance:
             ("duplicate-user", "instance.demands[1].user: user 0 already has a demand"),
             ("unknown-demand",
              "instance.interference[0].competing[2]: user 1 has no demand 0"),
+        ]
+
+    def test_each_repeated_user_is_named(self):
+        links = [EntangledLink(id=0, a=0, b=1, resource_count=1, throughput=5.0)]
+        demands = [Demand(user=u, source=0, target=1, rate=1.0) for u in (0, 0, 1, 1, 1)]
+        inst = build_instance(links, demands)
+        assert [v.message for v in validate_instance(inst)] == [
+            "instance.demands[1].user: user 0 already has a demand",
+            "instance.demands[3].user: user 1 already has a demand",
+            "instance.demands[4].user: user 1 already has a demand",
+        ]
+        # A user's first demand answers for it.
+        assert inst.demand_of_user(1) == (2, demands[2])
+
+    def test_repeated_competing_pair(self):
+        links = [EntangledLink(id=0, a=0, b=1, resource_count=1, throughput=5.0)]
+        demands = [Demand(user=u, source=0, target=1, rate=1.0) for u in range(2)]
+        inst = build_instance(links, demands, interference=[
+            InterferenceSet(link=0, state=0, competing=((0, 0), (0, 0), (1, 1), (0, 0))),
+        ])
+        assert [(v.code, v.message) for v in validate_instance(inst)] == [
+            ("repeated-demand", "instance.interference[0].competing[1]: "
+                                "demand 0 of user 0 is already listed"),
+            ("repeated-demand", "instance.interference[0].competing[3]: "
+                                "demand 0 of user 0 is already listed"),
         ]

@@ -80,6 +80,21 @@ class TestBuildConflictGraph:
         assert graph.edges == {(0, 1), (1, 2)}
 
 
+    def test_reduction_round_trip(self):
+        # The reduction numbers demands by sorted vertex, which on range(n)
+        # is the vertex itself: its conflict graph is the graph's edges
+        # and the vertices they touch.
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+            graph = make_conflict_graph(range(n), edges)
+            for colors in range(1, 4):
+                back = build_conflict_graph(reduction_from_coloring(graph, colors))
+                assert back.edges == graph.edges
+                assert back.vertices == {v for e in graph.edges for v in e}
+
+
 class TestMakeConflictGraph:
     def test_edge_normalization(self):
         graph = make_conflict_graph([0, 1], [(1, 0)])

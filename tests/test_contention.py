@@ -1,0 +1,140 @@
+"""The instance's one reading of interference against the old three.
+
+AssignmentInstance.rivals, check_interference and build_conflict_graph
+must agree with the references in util, which walk the interference sets
+as the code did before the instance kept one rivalry index, on three kinds
+of instance: random_instance pools, coloring reductions and the trial
+instances that run_scenario builds.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from etopo import (
+    AssignmentSolution,
+    build_conflict_graph,
+    check_interference,
+    make_conflict_graph,
+    reduction_from_coloring,
+)
+from util import (
+    greedy_scenario_payload,
+    random_instance,
+    reference_build_conflict_graph,
+    reference_check_interference,
+    reference_rivals,
+    trial_instances,
+)
+
+
+def random_pool(count=150, seed=41):
+    rng = random.Random(seed)
+    pool = []
+    while len(pool) < count:
+        inst = random_instance(rng, max_users=4)
+        if inst is not None:
+            pool.append(inst)
+    return pool
+
+
+def random_graph(rng, max_vertices=7):
+    n = rng.randint(1, max_vertices)
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+    return make_conflict_graph(range(n), edges)
+
+
+def reduction_pool(count=40, seed=43):
+    rng = random.Random(seed)
+    return [reduction_from_coloring(random_graph(rng), rng.randint(1, 3)) for _ in range(count)]
+
+
+def small_scenario_payload(rng):
+    """A generated scenario of a few nodes and demands, so routes cross."""
+    nodes = rng.randint(5, 10)
+    demands = []
+    for user in range(rng.randint(2, 5)):
+        source, target = rng.sample(range(nodes), 2)
+        demands.append({"user": user, "source": source, "target": target,
+                        "rate": rng.randint(1, 8) / 4})
+    return {
+        "seed": rng.randrange(2**16),
+        "trials": 2,
+        "generator": {"num_nodes": nodes, "num_links": rng.randint(nodes, 2 * nodes),
+                      "levels": [1, 2], "resource_range": [1, 3]},
+        "base_graph": {"k": 2, "n": 5},
+        "demands": demands,
+    }
+
+
+def builder_pool(count=30, seed=47):
+    rng = random.Random(seed)
+    pool = trial_instances(greedy_scenario_payload())
+    for _ in range(count):
+        pool.extend(trial_instances(small_scenario_payload(rng)))
+    return pool
+
+
+POOLS = {"random": random_pool, "reduction": reduction_pool, "builder": builder_pool}
+
+
+def random_solutions(rng, instance, count=8):
+    """Solutions that mostly take contested states, some of them twice,
+    and now and then a state for a user with no demand."""
+    contested = sorted({iset.resource for iset in instance.interference})
+    stored = sorted((lid, s) for lid, rs in instance.resource_sets.items() for s in rs.states)
+    stray = 1 + max((d.user for d in instance.demands), default=0)
+    for _ in range(count):
+        C = set()
+        for demand in instance.demands:
+            pool = contested if contested and rng.random() < 0.8 else stored
+            for link, state in rng.sample(pool, min(len(pool), rng.randint(0, 3))):
+                C.add((demand.user, link, state))
+        if stored and rng.random() < 0.2:
+            C.add((stray, *rng.choice(stored)))
+        yield AssignmentSolution.from_C(instance, frozenset(C))
+
+
+@pytest.fixture(scope="module", params=sorted(POOLS))
+def pool(request):
+    instances = POOLS[request.param]()
+    assert any(inst.interference for inst in instances)
+    return instances
+
+
+def test_rivals_match_reference(pool):
+    for inst in pool:
+        expected = reference_rivals(inst)
+        assert inst.rivals == {key: tuple(sorted(qids)) for key, qids in expected.items()}
+
+
+def test_conflict_graph_matches_reference(pool):
+    for inst in pool:
+        assert build_conflict_graph(inst) == reference_build_conflict_graph(inst)
+
+
+def test_interference_violations_match_reference(pool):
+    rng = random.Random(53)
+    found = clean = 0
+    for inst in pool:
+        for solution in random_solutions(rng, inst):
+            got = check_interference(inst, solution)
+            expected = reference_check_interference(inst, solution)
+            # The reference reports each broken set and the reader each
+            # broken state: the same states, and so a violation exactly
+            # when the reference finds one.
+            assert {v.subject for v in got} == {v.subject for v in expected}
+            found += bool(got)
+            clean += not got
+    assert found and clean
+
+
+def test_random_pool_stacks_sets_on_one_state():
+    # Two sets on one state must not make rivals of each other's demands;
+    # the random pool reaches that case, so the checks above cover it.
+    stacked = 0
+    for inst in random_pool():
+        resources = [iset.resource for iset in inst.interference]
+        stacked += len(resources) != len(set(resources))
+    assert stacked > 0

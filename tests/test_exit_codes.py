@@ -12,8 +12,13 @@ non-finite number, so every such file must exit 1.
 A third set of documents each breaks one rule that spans records, such as
 two links on one pair and level or a resource set one state short. Each
 must exit 1 with an error that names the offending record's field path.
+
+Last, whole files that JSON cannot decode (bytes that are not text in
+any encoding it detects, too deep a nesting, an integer literal longer
+than the int-string limit) must exit 1 with an error that names the file.
 """
 
+import codecs
 import copy
 import json
 
@@ -184,6 +189,8 @@ CROSS_RECORD = [
     ("instance", ("interference", 0, "state"), 2, "instance.interference[0].state"),
     ("instance", ("interference", 0, "competing", 1), [1, 0],
      "instance.interference[0].competing[1]"),
+    ("instance", ("interference", 0, "competing"), [[0, 0], [1, 1], [0, 0]],
+     "instance.interference[0].competing[2]"),
     ("instance", ("demands", 1, "user"), 0, "instance.demands[1].user"),
     ("scenario-inline", ("demands", 1, "user"), 0, "scenario.demands[1].user"),
     ("instance", ("demands", 0, "target"), 7, "instance.demands[0].target"),
@@ -211,3 +218,25 @@ def test_cross_record_fault_exits_config_error(kind, keys, value, where, tmp_pat
     path.write_text(json.dumps(doc))
     assert main(_command(kind, str(path), tmp_path)) == EXIT_CONFIG
     assert f"{where}: " in capsys.readouterr().err
+
+
+# Whole files that json cannot decode, each a valid file of its kind with
+# one thing broken: (label, bytes of a valid file -> broken bytes). Nesting
+# far deeper than the ~1000 levels that CPython 3.11 parses keeps the case
+# a RecursionError on the versions whose C recursion limit is higher.
+UNDECODABLE = [
+    ("latin-1-key", lambda text: text.replace(b"{", b'{"caf\xe9": 0, ', 1)),
+    ("utf-16-truncated", lambda text: codecs.BOM_UTF16_LE + text.decode().encode("utf-16-le")[:-1]),
+    ("nested-too-deep", lambda text: text.replace(b"{", b'{"x": ' + b"[" * 100_000
+                                                  + b"]" * 100_000 + b", ", 1)),
+    ("integer-over-limit", lambda text: text.replace(b"{", b'{"x": ' + b"1" * 5001 + b", ", 1)),
+]
+
+
+@pytest.mark.parametrize("label, breaks", UNDECODABLE, ids=[c[0] for c in UNDECODABLE])
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_undecodable_file_exits_config_error(kind, label, breaks, tmp_path, capsys):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(breaks(json.dumps(FILES[kind]).encode()))
+    assert main(_command(kind, str(path), tmp_path)) == EXIT_CONFIG
+    assert f"{path}: " in capsys.readouterr().err

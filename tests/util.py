@@ -42,6 +42,8 @@ from etopo import (
     map_overlay,
     objective,
     route,
+    run_scenario,
+    scenario_from_dict,
 )
 from etopo.assignment import (
     CTriple,
@@ -52,7 +54,8 @@ from etopo.assignment import (
     RouteMemo,
     StateId,
 )
-from etopo.coloring import EXACT_COLORING_CAP
+from etopo.coloring import EXACT_COLORING_CAP, Edge, Vertex
+from etopo.errors import Violation
 
 DENOM = 64
 
@@ -615,6 +618,57 @@ def reference_color_graph(graph: ConflictGraph, colors: int) -> ColoringResult:
     return ColoringResult(ColoringStatus.COLORED, Coloring(assigned))
 
 
+# The three readings of interference as they were before the instance
+# kept one rivalry index: each walks the interference sets in its own way.
+# AssignmentInstance.rivals, check_interference and build_conflict_graph
+# must agree with them.
+
+
+def reference_rivals(
+    instance: AssignmentInstance,
+) -> dict[tuple[DemandId, ResourceRef], frozenset[DemandId]]:
+    rivals: dict[tuple[DemandId, ResourceRef], set[DemandId]] = {}
+    for iset in instance.interference:
+        competitors = frozenset(q for _, q in iset.competing)
+        for qid in competitors:
+            rivals.setdefault((qid, iset.resource), set()).update(competitors - {qid})
+    return {key: frozenset(qids) for key, qids in rivals.items() if qids}
+
+
+def reference_check_interference(
+    instance: AssignmentInstance, solution: AssignmentSolution
+) -> list[Violation]:
+    """One violation per interference set granted to two or more of its
+    demands, by the set's own (user, demand) pairs."""
+    violations = []
+    for iset in instance.interference:
+        granted = set()
+        for user, qid in iset.competing:
+            if (user, qid, iset.resource) in solution.K:
+                granted.add(qid)
+            if (user, iset.link, iset.state) in solution.C:
+                granted.add(qid)
+        if len(granted) > 1:
+            violations.append(
+                Violation("interference", iset.resource,
+                          f"state {iset.resource} granted to {len(granted)} competing "
+                          f"demands {sorted(granted)}")
+            )
+    return violations
+
+
+def reference_build_conflict_graph(instance: AssignmentInstance) -> ConflictGraph:
+    vertices: set[Vertex] = set()
+    edges: set[Edge] = set()
+    for iset in instance.interference:
+        qids = sorted({q for _, q in iset.competing})
+        vertices.update(qids)
+        for i, u in enumerate(qids):
+            for v in qids[i + 1:]:
+                edges.add((u, v))
+    return ConflictGraph(frozenset(vertices), frozenset(edges), k_star=len(vertices))
+
+
 def parallel_chain(hops: int):
     """Nodes 0 .. hops in a chain, each hop two parallel links (levels 1 and
     2) of one state: 2 * hops assignment variables for one demand from end
@@ -655,6 +709,27 @@ def greedy_scenario_payload() -> dict:
         "demands": demands,
         "failures": failures,
     }
+
+
+def trial_instances(payload: dict) -> list[AssignmentInstance]:
+    """The assignment instance of each trial that run_scenario builds from
+    an `etopo run` scenario payload, in trial order."""
+    import etopo.scenario
+
+    build = etopo.scenario.build_trial_instance
+    built = []
+
+    def keep(*args, **kwargs):
+        result = build(*args, **kwargs)
+        built.append(result[0])
+        return result
+
+    etopo.scenario.build_trial_instance = keep
+    try:
+        run_scenario(scenario_from_dict(payload))
+    finally:
+        etopo.scenario.build_trial_instance = build
+    return built
 
 
 # -- reference greedy solver --------------------------------------------------
