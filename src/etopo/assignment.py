@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Collection, Container, Mapping, MutableMapping, NamedTuple, Optional, Sequence
+from typing import Collection, Mapping, MutableMapping, NamedTuple, Optional, Sequence
 
 from .adaption import AdaptedLinkSet
 from .basegraph import BaseGraph
@@ -118,10 +118,9 @@ class AssignmentInstance:
     interference: tuple[InterferenceSet, ...] = ()
 
     def demand(self, qid: DemandId) -> Demand:
-        try:
-            return self.demands[qid]
-        except IndexError:
-            raise NotFoundError(f"no demand with id {qid}") from None
+        if not 0 <= qid < len(self.demands):
+            raise NotFoundError(f"no demand with id {qid}")
+        return self.demands[qid]
 
     @cached_property
     def _by_user(self) -> dict[UserId, DemandId]:
@@ -273,10 +272,10 @@ def check_interference(
     """No resource state assigned or granted to two demands that are
     rivals for it; one violation per such state, naming the demands that
     hold it alongside a rival."""
+    _check_refs(instance, solution)
     holders: dict[ResourceRef, set[DemandId]] = {}
     for user, link, state in solution.C:
-        if user in instance._by_user:
-            holders.setdefault((link, state), set()).add(instance._by_user[user])
+        holders.setdefault((link, state), set()).add(instance._by_user[user])
     for _, qid, ref in solution.K:
         holders.setdefault(ref, set()).add(qid)
     violations = []
@@ -390,37 +389,41 @@ class _Option(NamedTuple):
 
 
 def enumerate_simple_paths(
-    instance: AssignmentInstance, source: NodeId, target: NodeId,
-    only: Optional[Container[LinkId]] = None,
-) -> list[tuple[tuple[NodeId, ...], tuple[LinkId, ...]]]:
-    """All node-simple paths over the adapted set, link-resolved and
-    sorted; when only is given, just the paths all of whose links are in it.
+    instance: AssignmentInstance, source: NodeId, target: NodeId
+) -> list[tuple[LinkId, ...]]:
+    """The links of every node-simple path over adapted links that hold
+    states, in no set order.
 
-    Raises TooLargeError as soon as more than OPTION_CAP paths are found:
-    each path over links that hold states gives solve_exact at least one
-    option, so the listing stops where the option count would."""
-    results: list[tuple[tuple[NodeId, ...], tuple[LinkId, ...]]] = []
+    Each path gives solve_exact one option per choice of a state on each of
+    its links. The walk raises TooLargeError as soon as the paths it has
+    found give more than OPTION_CAP options."""
+    results: list[tuple[LinkId, ...]] = []
     adjacency = instance.adapted.adjacency_on(instance.graph)
+    # A path over a link without states gives no option, so it is not walked.
+    stored = {lid: len(rs.states) for lid, rs in instance.resource_sets.items() if rs.states}
+    walked, links = {source}, []
+    total = 0
 
-    def extend(nodes: list[NodeId], links: list[LinkId]) -> None:
-        current = nodes[-1]
+    def extend(current: NodeId, options: int) -> None:
+        nonlocal total
         if current == target:
-            results.append((tuple(nodes), tuple(links)))
-            if len(results) > OPTION_CAP:
-                raise TooLargeError(f"more than {OPTION_CAP} simple paths lead "
-                                    f"from node {source} to node {target}")
+            total += options
+            if total > OPTION_CAP:
+                raise TooLargeError(f"more than {OPTION_CAP} options serve "
+                                    f"node {source} to node {target}")
+            results.append(tuple(links))
             return
         for nbr, lid, _ in adjacency.get(current, ()):
-            if nbr in nodes or (only is not None and lid not in only):
+            if nbr in walked or lid not in stored:
                 continue
-            nodes.append(nbr)
+            walked.add(nbr)
             links.append(lid)
-            extend(nodes, links)
-            nodes.pop()
+            extend(nbr, options * stored[lid])
+            walked.discard(nbr)
             links.pop()
 
-    extend([source], [])
-    return sorted(results)
+    extend(source, 1)
+    return results
 
 
 def _demand_options(
@@ -429,18 +432,11 @@ def _demand_options(
     usable: Mapping[LinkId, list[ResourceRef]],
 ) -> list[_Option]:
     """The demand's options in (cost, entries) order, each link of a path
-    taking one of its usable (link, state) entries. TooLargeError when
-    all states of the links would give more than OPTION_CAP options."""
+    taking one of its usable (link, state) entries. No two options have
+    equal entries, so the order does not depend on how paths are listed."""
     demand = instance.demand(qid)
     options: list[_Option] = []
-    total = 0
-    # A path over a link without states counts no option and yields none,
-    # so only links that hold states are walked.
-    stated = {lid for lid, rs in instance.resource_sets.items() if rs.states}
-    for _, links in enumerate_simple_paths(instance, demand.source, demand.target, stated):
-        total += math.prod(len(instance.states_of(lid)) for lid in links)
-        if total > OPTION_CAP:
-            raise TooLargeError(f"demand {qid} has more than {OPTION_CAP} serving options")
+    for links in enumerate_simple_paths(instance, demand.source, demand.target):
         cost = sum(1.0 - instance.adapted.link_p_star(lid) for lid in links)
         combos = itertools.product(*(usable.get(lid, ()) for lid in links))
         options.extend(_Option(cost, combo) for combo in combos)
@@ -486,8 +482,8 @@ def solve_exact(
         )
     # Demands in id order, options in (cost, entries) order and >= pruning
     # keep the first optimum found: the tie-break documented above.
-    order = list(range(len(instance.demands)))
-    rate = {qid: instance.demand(qid).rate for qid in order}
+    n_demands = len(instance.demands)
+    rate = [d.rate for d in instance.demands]
     capacity = {link.id: link.throughput for link in instance.network.links}
     rivals = instance.rivals
     # States of a link with the same rivals for every demand can be swapped
@@ -498,18 +494,18 @@ def solve_exact(
     for link in instance.resource_sets:
         twins: dict[tuple, list[StateId]] = {}
         for state in sorted(instance.states_of(link)):
-            key = tuple(rivals.get((qid, (link, state))) for qid in order)
+            key = tuple(rivals.get((qid, (link, state))) for qid in range(n_demands))
             earlier[(link, state)] = tuple(twins.setdefault(key, []))
             twins[key].append(state)
     # Demand qid follows qid others, which hold at most qid states of a
     # link: a state with more smaller twins than that never opens in order.
-    options: dict[DemandId, list[_Option]] = {}
-    for qid in order:
+    options: list[list[_Option]] = []
+    for qid in range(n_demands):
         usable: dict[LinkId, list[ResourceRef]] = {}
         for ref in sorted(earlier):
             if len(earlier[ref]) <= qid:
                 usable.setdefault(ref[0], []).append(ref)
-        options[qid] = _demand_options(instance, qid, usable)
+        options.append(_demand_options(instance, qid, usable))
 
     best: Optional[frozenset[CTriple]] = None
     best_cost = float("inf")
@@ -535,21 +531,21 @@ def solve_exact(
                 return False
         return True
 
-    def open_tail(pos: int) -> Optional[float]:
+    def open_tail(first: DemandId) -> Optional[float]:
         # The cheapest option that still fits, summed over the demands from
-        # pos on; None when one has none left. Load and grants only grow
+        # first on; None when one has none left. Load and grants only grow
         # deeper in the search, so this bounds every completion from below.
         tail = 0.0
-        for qid in reversed(order[pos:]):
+        for qid in reversed(range(first, n_demands)):
             cheapest = next((opt.cost for opt in options[qid] if fits(qid, opt)), None)
             if cheapest is None:
                 return None
             tail += cheapest
         return tail
 
-    def descend(pos: int, cost: float) -> None:
+    def descend(qid: DemandId, cost: float) -> None:
         nonlocal best, best_cost
-        if pos == len(order):
+        if qid == n_demands:
             C = frozenset(
                 (instance.demand(q).user, link, state)
                 for q, opt in chosen.items()
@@ -557,10 +553,9 @@ def solve_exact(
             )
             best, best_cost = C, cost
             return
-        rest = open_tail(pos + 1)
+        rest = open_tail(qid + 1)
         if rest is None:
             return
-        qid = order[pos]
         for opt in options[qid]:
             if cost + opt.cost + rest >= best_cost:
                 break  # options are cost-sorted
@@ -570,7 +565,7 @@ def solve_exact(
             for link, state in opt.entries:
                 load[link] = load.get(link, 0.0) + rate[qid]
                 granted.setdefault((link, state), set()).add(qid)
-            descend(pos + 1, cost + opt.cost)
+            descend(qid + 1, cost + opt.cost)
             for link, state in opt.entries:
                 load[link] -= rate[qid]
                 granted[(link, state)].discard(qid)
@@ -578,7 +573,7 @@ def solve_exact(
 
     descend(0, 0.0)
     if best is None:
-        return _result(instance, frozenset(), rejected=order)
+        return _result(instance, frozenset(), rejected=range(n_demands))
     return _result(instance, best)
 
 

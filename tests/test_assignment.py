@@ -68,6 +68,35 @@ def two_hop_instance(rate=1.0, throughput=5.0):
     return build_instance(links, [Demand(user=0, source=0, target=2, rate=rate)])
 
 
+class CountingRows(dict):
+    """An adjacency index that counts the rows read from it."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def with_counted_rows(inst):
+    """The instance over a copy of its adjacency that counts row reads,
+    and that copy."""
+    rows = CountingRows(inst.adapted.adjacency)
+    adapted = dataclasses.replace(inst.adapted, adjacency=rows)
+    return dataclasses.replace(inst, adapted=adapted), rows
+
+
+@pytest.mark.parametrize("qid", [-1, -2, 1, 5])
+def test_demand_id_outside_the_instance_is_not_found(qid):
+    # A negative id names no demand; it does not count from the end.
+    inst = two_hop_instance()
+    assert inst.demand(0) is inst.demands[0]
+    with pytest.raises(NotFoundError, match=f"no demand with id {qid}"):
+        inst.demand(qid)
+
+
 class TestObjective:
     def test_empty_solution(self):
         inst = two_hop_instance()
@@ -191,6 +220,17 @@ class TestInterference:
         inst, _ = self.contested([])
         assert check_interference(inst, AssignmentSolution(frozenset())) == []
 
+    def test_user_without_demand_is_not_found(self):
+        # The same reference checks as objective and check_capacity.
+        inst = two_hop_instance()
+        with pytest.raises(NotFoundError, match="no demand for user 9"):
+            check_interference(inst, AssignmentSolution(frozenset({(9, 0, 0)})))
+
+    def test_missing_state_is_not_found(self):
+        inst = two_hop_instance()
+        with pytest.raises(NotFoundError, match="missing state 3 on link 0"):
+            check_interference(inst, AssignmentSolution(frozenset({(0, 0, 3)})))
+
 
 class TestSolveExact:
     def test_single_user_single_path(self):
@@ -243,38 +283,41 @@ class TestSolveExact:
             solve_exact(inst)
 
     def test_option_cap_bounds_the_path_listing(self, monkeypatch):
-        # 2**12 simple paths, 24 variables: the listing stops once it has
-        # found more than OPTION_CAP paths, and reaching each next path
-        # reads at most one adjacency row per hop.
-        class CountingRows(dict):
-            reads = 0
-
-            def get(self, key, default=None):
-                CountingRows.reads += 1
-                return super().get(key, default)
-
+        # 2**12 simple paths of one option each, 24 variables: the listing
+        # stops once its paths give more than OPTION_CAP options, and
+        # reaching each next path reads at most one adjacency row per hop.
         hops, cap = 12, 10
         monkeypatch.setattr(etopo.assignment, "OPTION_CAP", cap)
         inst = build_instance(parallel_chain(hops).links,
                               [Demand(user=0, source=0, target=hops, rate=1.0)], n=hops + 1)
         assert inst.n_variables() <= BNB_VARIABLE_CAP
-        adapted = dataclasses.replace(
-            inst.adapted, adjacency=CountingRows(inst.adapted.adjacency))
-        with pytest.raises(TooLargeError, match=f"more than {cap} simple paths"):
-            solve_exact(dataclasses.replace(inst, adapted=adapted))
-        assert 0 < CountingRows.reads <= (cap + 1) * hops
+        counted, rows = with_counted_rows(inst)
+        with pytest.raises(TooLargeError, match=f"more than {cap} options serve "
+                                                f"node 0 to node {hops}"):
+            solve_exact(counted)
+        assert 0 < rows.reads <= (cap + 1) * hops
+
+    def test_option_cap_stops_inside_the_first_path(self, monkeypatch):
+        # Two states per link, 40 variables: the first path alone gives
+        # 2**10 options, more than OPTION_CAP, so the listing stops there,
+        # having read one adjacency row per node before the target.
+        hops, cap = 10, 10
+        monkeypatch.setattr(etopo.assignment, "OPTION_CAP", cap)
+        links = parallel_chain(hops).links
+        inst = build_instance(links, [Demand(user=0, source=0, target=hops, rate=1.0)],
+                              resource_sets={l.id: ResourceSet(link=l.id, states=(0, 1))
+                                             for l in links}, n=hops + 1)
+        assert inst.n_variables() == BNB_VARIABLE_CAP
+        counted, rows = with_counted_rows(inst)
+        with pytest.raises(TooLargeError, match=f"more than {cap} options serve "
+                                                f"node 0 to node {hops}"):
+            solve_exact(counted)
+        assert 0 < rows.reads <= hops + 1
 
     def test_walks_only_links_that_hold_states(self):
         # One state on one link of K_9: a path over any stateless link
         # yields no option, so the search reads a handful of adjacency
         # rows, not one per simple path of K_9 (about 10^5).
-        class CountingRows(dict):
-            reads = 0
-
-            def get(self, key, default=None):
-                CountingRows.reads += 1
-                return super().get(key, default)
-
         m = 9
         links = [
             EntangledLink(id=i, a=a, b=b, throughput=9.0)
@@ -282,12 +325,11 @@ class TestSolveExact:
         ]
         inst = build_instance(links, [Demand(user=0, source=0, target=1, rate=1.0)],
                               resource_sets={0: ResourceSet(link=0, states=(0,))}, n=m)
-        adapted = dataclasses.replace(
-            inst.adapted, adjacency=CountingRows(inst.adapted.adjacency))
-        result = solve_exact(dataclasses.replace(inst, adapted=adapted))
+        counted, rows = with_counted_rows(inst)
+        result = solve_exact(counted)
         assert result.feasible
         assert result.solution.C == {(0, 0, 0)}
-        assert CountingRows.reads <= m
+        assert rows.reads <= m
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(7)

@@ -14,6 +14,7 @@ import pytest
 
 from etopo import (
     AssignmentSolution,
+    NotFoundError,
     build_conflict_graph,
     check_interference,
     make_conflict_graph,
@@ -116,9 +117,17 @@ def test_conflict_graph_matches_reference(pool):
 
 def test_interference_violations_match_reference(pool):
     rng = random.Random(53)
-    found = clean = 0
+    found = clean = strays = 0
     for inst in pool:
+        users = {d.user for d in inst.demands}
         for solution in random_solutions(rng, inst):
+            if not users.issuperset(user for user, _, _ in solution.C):
+                # A state for a user with no demand is a bad reference, as
+                # objective and check_capacity find it.
+                with pytest.raises(NotFoundError, match="no demand for user"):
+                    check_interference(inst, solution)
+                strays += 1
+                continue
             got = check_interference(inst, solution)
             expected = reference_check_interference(inst, solution)
             # The reference reports each broken set and the reader each
@@ -127,7 +136,7 @@ def test_interference_violations_match_reference(pool):
             assert {v.subject for v in got} == {v.subject for v in expected}
             found += bool(got)
             clean += not got
-    assert found and clean
+    assert found and clean and strays
 
 
 def test_random_pool_stacks_sets_on_one_state():

@@ -1,16 +1,20 @@
 import dataclasses
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import etopo.assignment
 from etopo import (
     AssignmentInstance,
     EntangledLink,
     NotFoundError,
+    ResourceSet,
     RouteStatus,
     RoutingOutcome,
     ThresholdPolicy,
+    TooLargeError,
     adapt,
     kleinberg_lattice,
     make_network,
@@ -162,9 +166,33 @@ class TestProperties:
                     assert {link.a, link.b} == {u, v}
 
 
-def _path_instance(network, graph, adapted):
+def _path_instance(network, graph, adapted, resource_sets=None):
     return AssignmentInstance(network=network, graph=graph, adapted=adapted,
-                              demands=(), resource_sets={})
+                              demands=(), resource_sets=resource_sets or {})
+
+
+def _stated_paths(rng, k, threshold):
+    """A small random instance whose links store 0-3 states, some of them
+    with no resource set at all, a source and target on it, and the
+    reference's paths between them over links that hold states, sorted,
+    with each path's option count."""
+    side = {1: 40, 2: 8, 3: 4}[k]
+    net, graph, adapted = random_embedded(
+        rng, num_nodes=rng.randint(3, 7), num_links=rng.randint(2, 12),
+        k=k, n=side, threshold=threshold,
+    )
+    resource_sets = {
+        link.id: ResourceSet(link=link.id, states=tuple(range(rng.randint(0, 3))))
+        for link in net.links if rng.random() < 0.8
+    }
+    source, target = rng.sample(sorted(graph.placement), 2)
+    stored = {lid: len(rs.states) for lid, rs in resource_sets.items()}
+    paths = sorted(
+        (links, math.prod(stored[lid] for lid in links))
+        for _, links in reference_simple_paths(graph, adapted, source, target)
+        if all(stored.get(lid) for lid in links)
+    )
+    return _path_instance(net, graph, adapted, resource_sets), source, target, paths
 
 
 class TestAdaptedAdjacency:
@@ -185,17 +213,27 @@ class TestAdaptedAdjacency:
                 graph, adapted, source, target)
             assert shortest_path_oracle(graph, adapted, source, target) == (
                 reference_oracle(graph, adapted, source, target))
-        small, small_graph, small_adapted = random_embedded(
-            rng, num_nodes=rng.randint(3, 7), num_links=rng.randint(2, 12),
-            k=k, n=side, threshold=threshold,
-        )
-        source, target = rng.sample(sorted(small_graph.placement), 2)
-        instance = _path_instance(small, small_graph, small_adapted)
-        paths = reference_simple_paths(small_graph, small_adapted, source, target)
-        assert enumerate_simple_paths(instance, source, target) == paths
-        only = {lid for lid in sorted(small_adapted.links) if rng.random() < 0.5}
-        assert enumerate_simple_paths(instance, source, target, only) == [
-            path for path in paths if only.issuperset(path[1])]
+        instance, source, target, paths = _stated_paths(rng, k, threshold)
+        assert sorted(enumerate_simple_paths(instance, source, target)) == [
+            links for links, _ in paths]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3]),
+           threshold=st.sampled_from([0.0, 0.2, 0.4]), cap=st.integers(0, 30))
+    def test_walk_raises_exactly_above_the_option_cap(self, seed, k, threshold, cap):
+        # Each path gives the product of its links' state counts in options;
+        # the walk raises exactly when all paths together give more than
+        # OPTION_CAP, and otherwise lists them all.
+        instance, source, target, paths = _stated_paths(random.Random(seed), k, threshold)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(etopo.assignment, "OPTION_CAP", cap)
+            if sum(options for _, options in paths) > cap:
+                with pytest.raises(TooLargeError, match=f"more than {cap} options serve "
+                                                        f"node {source} to node {target}"):
+                    enumerate_simple_paths(instance, source, target)
+            else:
+                assert sorted(enumerate_simple_paths(instance, source, target)) == [
+                    links for links, _ in paths]
 
     def test_foreign_graph_is_rejected(self):
         net, graph, adapted = line_setup()
