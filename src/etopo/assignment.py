@@ -287,43 +287,23 @@ def check_interference(
     return violations
 
 
-def _user_entries(solution: AssignmentSolution, user: UserId) -> list[tuple[LinkId, StateId]]:
-    return sorted((link, state) for u, link, state in solution.C if u == user)
-
-
-def _path_orientation(
-    instance: AssignmentInstance, demand: Demand, entries: Sequence[tuple[LinkId, StateId]]
-) -> Optional[list[tuple[LinkId, NodeId, NodeId]]]:
-    """Orient a user's assigned links by walking from the demand source.
-
-    Returns (link, from, to) hops when the links form a simple path rooted
-    at the source with one assigned state per link; None otherwise.
-    """
-    counts: dict[LinkId, int] = {}
-    for link, _ in entries:
-        counts[link] = counts.get(link, 0) + 1
-    if not counts or any(c != 1 for c in counts.values()):
+def _walk_end(
+    instance: AssignmentInstance, source: NodeId, links: Sequence[LinkId]
+) -> Optional[NodeId]:
+    """The far end of the simple path that links form from source, or None
+    when there is no link, a link comes twice, or the walk meets a branch
+    or a gap. The walk needs no test for a revisited node: it could come
+    back to one only over a link that met that node when it left, a branch."""
+    unused = {lid: instance.network.link_by_id(lid) for lid in links}
+    if not unused or len(unused) != len(links):
         return None
-    unused = set(counts)
-    current = demand.source
-    seen = {current}
-    hops: list[tuple[LinkId, NodeId, NodeId]] = []
+    current = source
     while unused:
-        incident = [
-            lid for lid in unused
-            if current in instance.network.link_by_id(lid).endpoints
-        ]
+        incident = [lid for lid, link in unused.items() if current in link.endpoints]
         if len(incident) != 1:
             return None
-        lid = incident[0]
-        nxt = instance.network.link_by_id(lid).other(current)
-        if nxt in seen:
-            return None
-        hops.append((lid, current, nxt))
-        seen.add(nxt)
-        unused.discard(lid)
-        current = nxt
-    return hops
+        current = unused.pop(incident[0]).other(current)
+    return current
 
 
 def flow_imbalance(
@@ -334,27 +314,20 @@ def flow_imbalance(
 ) -> int:
     """Net assigned flow of one user at a node: links out minus links onto it.
 
-    Direction comes from walking the user's assigned links from the
-    demand's source; assignments that do not form such a walk fall back to
-    the links' stored endpoint order.
+    When the user's links form a simple path from the demand's source, that
+    is +1 at the source, -1 at the path's far end and 0 elsewhere; other
+    assignments read each link from its stored endpoint a to b.
     """
+    _check_refs(instance, solution)
     if node not in instance.graph.placement:
         raise NotFoundError(f"node {node} is not mapped")
     _, demand = instance.demand_of_user(user)
-    entries = _user_entries(solution, user)
-    hops = _path_orientation(instance, demand, entries)
-    if hops is not None:
-        out_flow = sum(1 for _, frm, _ in hops if frm == node)
-        in_flow = sum(1 for _, _, to in hops if to == node)
-        return out_flow - in_flow
-    balance = 0
-    for link_id, _ in entries:
-        link = instance.network.link_by_id(link_id)
-        if link.a == node:
-            balance += 1
-        elif link.b == node:
-            balance -= 1
-    return balance
+    links = [link for u, link, _ in solution.C if u == user]
+    end = _walk_end(instance, demand.source, links)
+    if end is not None:
+        return (node == demand.source) - (node == end)
+    return sum((link.a == node) - (link.b == node)
+               for link in map(instance.network.link_by_id, links))
 
 
 class SolveStatus(str, Enum):

@@ -24,7 +24,7 @@ from .assignment import (
 )
 from .basegraph import map_overlay
 from .coloring import ConflictGraph, make_conflict_graph
-from .errors import ConfigError
+from .errors import ConfigError, InvalidLevelError
 from .generate import GeneratorParams
 from .overlay import (
     EntangledLink,
@@ -42,6 +42,7 @@ _LINK_FIELDS = (
     "throughput", "resource_count",
 )
 _LINK_INTEGERS = ("id", "a", "b", "level", "resource_count")
+_LINK_NUMBERS = ("swap_success", "photon_loss", "fidelity", "throughput")
 _INF = float("inf")
 
 # The key sets of the records a file holds many of, built once.
@@ -184,9 +185,11 @@ def network_from_dict(data: Mapping[str, Any], context: str = "network") -> Over
         _require(record, _LINK_KEYS, where)
         for key in _LINK_INTEGERS:
             _integer(record[key], where, key)
+        for key in _LINK_NUMBERS:
+            _number(record[key], where, key)
         try:
             link = EntangledLink(**record)
-        except (TypeError, ValueError) as exc:
+        except (ValueError, InvalidLevelError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         links.append(link)
     network = make_network(nodes, links)

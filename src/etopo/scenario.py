@@ -97,7 +97,7 @@ class Scenario:
         ]
         if len(sources) != 1:
             raise ConfigError(
-                "scenario needs exactly one network source: file, inline, or generator"
+                "scenario: provide exactly one of network, network_file, generator"
             )
         users: set[int] = set()
         for i, d in enumerate(self.demands):
@@ -366,6 +366,11 @@ def records_to_csv(records: list[MetricsRecord]) -> str:
 
 
 def records_to_solutions(scenario: Scenario, records: list[MetricsRecord]) -> dict:
+    """The solutions.json document. Each K grant names its demand by its
+    scenario id, like served and rejected; the solver's K uses its
+    instance's ids, so the demand is looked up by the grant's user, who has
+    one demand in a scenario."""
+    qid_of_user = {d.user: qid for qid, d in enumerate(scenario.demands)}
     trials = []
     for rec in records:
         entry: dict[str, Any] = {
@@ -382,6 +387,7 @@ def records_to_solutions(scenario: Scenario, records: list[MetricsRecord]) -> di
         }
         if rec.result is not None:
             entry.update(solution_to_dict(rec.result.solution))
+            entry["K"] = [[u, qid_of_user[u], ref] for u, _, ref in entry["K"]]
         trials.append(entry)
     return {"seed": scenario.seed, "trials": trials}
 

@@ -34,6 +34,7 @@ from etopo.cli import main as cli_main
 from util import (
     brute_force_colorable,
     dyadic,
+    feasible_pool,
     oracle_solve,
     random_embedded,
     random_instance,
@@ -93,22 +94,6 @@ def test_adaption_soundness_completeness_monotonicity():
         ok and elapsed < 10.0,
         f"{elapsed:.1f}s",
     )
-
-
-def feasible_pool(count=200, seed=1003):
-    """Random instances where the exact solver found a solution, with both
-    solvers' results attached."""
-    rng = random.Random(seed)
-    pool = []
-    while len(pool) < count:
-        inst = random_instance(rng)
-        if inst is None:
-            continue
-        exact = solve_exact(inst)
-        if not exact.feasible:
-            continue
-        pool.append((inst, exact, solve_greedy(inst)))
-    return pool
 
 
 @pytest.fixture(scope="module")

@@ -31,10 +31,12 @@ from etopo import (
 )
 from etopo.assignment import BNB_VARIABLE_CAP
 from util import (
+    feasible_pool,
     greedy_scenario_payload,
     oracle_solve,
     parallel_chain,
     random_instance,
+    reference_flow_imbalance,
     reference_solve_greedy,
     trial_instances,
 )
@@ -186,6 +188,96 @@ class TestFlowImbalance:
         inst = build_instance(links, [Demand(user=0, source=0, target=1, rate=1.0)])
         result = solve_exact(inst)
         assert flow_imbalance(inst, result.solution, 2, 0) == 0
+
+    @staticmethod
+    def assert_matches_reference(inst, solution):
+        for demand in inst.demands:
+            for node in sorted(inst.graph.placement):
+                assert (flow_imbalance(inst, solution, node, demand.user)
+                        == reference_flow_imbalance(inst, solution, node, demand.user)), \
+                    (sorted(solution.C), node, demand.user)
+
+    def test_matches_reference_on_random_assignments(self):
+        rng = random.Random(1901)
+        checked = 0
+        while checked < 3000:
+            inst = random_instance(rng)
+            if inst is None:
+                continue
+            stored = sorted(
+                (d.user, link, state)
+                for d in inst.demands
+                for link in inst.resource_sets
+                for state in inst.states_of(link)
+            )
+            for _ in range(10):
+                keep = rng.random()
+                C = frozenset(t for t in stored if rng.random() < keep)
+                self.assert_matches_reference(inst, AssignmentSolution(C))
+                checked += 1
+
+    def test_matches_reference_on_solver_outputs(self):
+        for inst, exact, greedy in feasible_pool():
+            self.assert_matches_reference(inst, exact.solution)
+            self.assert_matches_reference(inst, greedy.solution)
+
+    def cases_instance(self):
+        # A path 0-1-2-3 whose link 1 is stored against the walk, a chord
+        # 1-3, a spur 3-4 and a triangle 5-6-7 apart from it all.
+        links = [
+            EntangledLink(id=0, a=0, b=1, throughput=9.0, resource_count=2),
+            EntangledLink(id=1, a=2, b=1, throughput=9.0),
+            EntangledLink(id=2, a=2, b=3, throughput=9.0),
+            EntangledLink(id=3, a=1, b=3, throughput=9.0),
+            EntangledLink(id=4, a=3, b=4, throughput=9.0),
+            EntangledLink(id=5, a=5, b=6, throughput=9.0),
+            EntangledLink(id=6, a=6, b=7, throughput=9.0),
+            EntangledLink(id=7, a=7, b=5, throughput=9.0),
+        ]
+        return build_instance(links, [Demand(user=0, source=0, target=3, rate=1.0),
+                                      Demand(user=1, source=2, target=0, rate=1.0)])
+
+    # (case, user 0's (link, state) entries, flow at nodes 0 .. 7)
+    CASES = [
+        ("path", [(0, 0), (1, 0), (2, 0)], [1, 0, 0, -1, 0, 0, 0, 0]),
+        ("path-short-of-target", [(0, 0), (1, 0)], [1, 0, -1, 0, 0, 0, 0, 0]),
+        ("link-held-twice", [(0, 0), (0, 1), (3, 0)], [2, -1, 0, -1, 0, 0, 0, 0]),
+        ("branch", [(0, 0), (1, 0), (3, 0)], [1, -1, 1, -1, 0, 0, 0, 0]),
+        ("gap", [(0, 0), (2, 0)], [1, -1, 1, -1, 0, 0, 0, 0]),
+        ("cycle-beside-path", [(0, 0), (3, 0), (5, 0), (6, 0), (7, 0)],
+         [1, 0, 0, -1, 0, 0, 0, 0]),
+        ("cycle-through-path", [(0, 0), (1, 0), (2, 0), (3, 0)],
+         [1, -1, 2, -2, 0, 0, 0, 0]),
+        ("walk-away-from-source", [(2, 0), (4, 0)], [0, 0, 1, 0, -1, 0, 0, 0]),
+        ("empty", [], [0] * 8),
+    ]
+
+    @pytest.mark.parametrize("entries, flows", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_hand_built_cases(self, entries, flows):
+        inst = self.cases_instance()
+        # User 1 holds a path of its own, which must not count for user 0.
+        C = frozenset({(0, link, state) for link, state in entries} | {(1, 1, 0)})
+        solution = AssignmentSolution(C)
+        self.assert_matches_reference(inst, solution)
+        assert [flow_imbalance(inst, solution, node, 0) for node in range(8)] == flows
+
+    def test_missing_state_is_not_found(self):
+        inst = two_hop_instance()
+        sol = AssignmentSolution(frozenset({(0, 0, 99)}))
+        with pytest.raises(NotFoundError, match="missing state 99 on link 0"):
+            objective(inst, sol)
+        with pytest.raises(NotFoundError, match="missing state 99 on link 0"):
+            flow_imbalance(inst, sol, 0, 0)
+
+    def test_user_without_demand_is_not_found(self):
+        inst = two_hop_instance()
+        # The unknown user's triple raises even when another user is asked about.
+        sol = AssignmentSolution(frozenset({(0, 0, 0), (5, 1, 0)}))
+        with pytest.raises(NotFoundError, match="no demand for user 5"):
+            objective(inst, sol)
+        with pytest.raises(NotFoundError, match="no demand for user 5"):
+            flow_imbalance(inst, sol, 0, 0)
 
 
 class TestInterference:

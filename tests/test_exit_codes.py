@@ -9,9 +9,12 @@ A second sweep puts each of NaN, Infinity and -Infinity (JSON extensions
 that Python's json reads) in place of each value. No field takes a
 non-finite number, so every such file must exit 1.
 
-A third set of documents each breaks one rule that spans records, such as
-two links on one pair and level or a resource set one state short. Each
-must exit 1 with an error that names the offending record's field path.
+A third set of documents each breaks one rule, most of them rules that
+span records, such as two links on one pair and level or a resource set
+one state short, and some of one record, such as a link at level 0 or a
+scenario with two network sources or none. Each must exit 1 with an error
+that names the offending record's field path, as must a boolean or a
+string in a link's number fields.
 
 Last, whole files that JSON cannot decode (bytes that are not text in
 any encoding it detects, too deep a nesting, an integer literal longer
@@ -178,13 +181,18 @@ def test_non_finite_value_exits_config_error(kind, tmp_path, capsys):
                       f"{EXIT_CONFIG}:\n" + "\n".join(wrong)
 
 
-# Documents that each break one rule across records, which no one-field
-# mutation above reaches: (kind, key path, new value, field path named).
+# Documents that each break one rule, most of them across records, which
+# no one-field mutation above reaches, and whose error must name the field
+# path: (kind, key path, new value, field path named).
 CROSS_RECORD = [
     ("network", ("links", 1), _link(1, 1, 0), "network.links[1]"),
     ("scenario-inline", ("network", "links", 1), _link(1, 1, 0),
      "scenario.network.links[1]"),
     ("instance", ("network", "links", 1), _link(1, 1, 0), "instance.network.links[1]"),
+    ("network", ("links", 0, "level"), 0, "network.links[0]"),
+    ("scenario-inline", ("network", "links", 0, "level"), 0, "scenario.network.links[0]"),
+    ("instance", ("network", "links", 0, "level"), 0, "instance.network.links[0]"),
+    ("scenario-inline", ("generator",), FILES["scenario-generator"]["generator"], "scenario"),
     ("instance", ("resource_sets", 0, "states"), [0], "instance.resource_sets[0].states"),
     ("instance", ("interference", 0, "state"), 2, "instance.interference[0].state"),
     ("instance", ("interference", 0, "competing", 1), [1, 0],
@@ -218,6 +226,43 @@ def test_cross_record_fault_exits_config_error(kind, keys, value, where, tmp_pat
     path.write_text(json.dumps(doc))
     assert main(_command(kind, str(path), tmp_path)) == EXIT_CONFIG
     assert f"{where}: " in capsys.readouterr().err
+
+
+def test_scenario_without_network_source_exits_config_error(tmp_path, capsys):
+    doc = copy.deepcopy(FILES["scenario-inline"])
+    del doc["network"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(_command("scenario-inline", str(path), tmp_path)) == EXIT_CONFIG
+    assert "scenario: " in capsys.readouterr().err
+
+
+# Each kind of file that holds a network: the key path of its network and
+# the field path its errors name. A boolean or a string in one of a link's
+# four number fields exits 1 with the field's path, as in its integers.
+NETWORK_AT = {
+    "network": ((), "network"),
+    "scenario-inline": (("network",), "scenario.network"),
+    "instance": (("network",), "instance.network"),
+}
+LINK_NUMBERS = ("swap_success", "photon_loss", "fidelity", "throughput")
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5"])
+@pytest.mark.parametrize("key", LINK_NUMBERS)
+@pytest.mark.parametrize("kind", sorted(NETWORK_AT))
+def test_link_number_of_wrong_type_exits_config_error(kind, key, value, tmp_path, capsys):
+    doc = copy.deepcopy(FILES[kind])
+    keys, where = NETWORK_AT[kind]
+    network = doc
+    for step in keys:
+        network = network[step]
+    network["links"][0][key] = value
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    assert main(_command(kind, str(path), tmp_path)) == EXIT_CONFIG
+    assert f"{where}.links[0].{key}: expected a number, got {value!r}" \
+        in capsys.readouterr().err
 
 
 # Whole files that json cannot decode, each a valid file of its kind with

@@ -189,8 +189,8 @@ class TestNonFinite:
     def test_link_throughput(self, value):
         data = network_to_dict(make_network([0, 1], [EntangledLink(id=0, a=0, b=1)]))
         data["links"][0]["throughput"] = value
-        with pytest.raises(ConfigError, match=rf"^network\.links\[0\]: link 0: "
-                                              rf"throughput={value} is not finite$"):
+        with pytest.raises(ConfigError, match=rf"^network\.links\[0\]\.throughput: "
+                                              rf"expected a finite number, got {value}$"):
             network_from_dict(data)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

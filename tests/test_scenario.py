@@ -309,6 +309,28 @@ class TestRecordOutcomes:
             assert entry["objective"] == pytest.approx(0.75)
             assert sorted(map(tuple, entry["C"])) == [(0, 0, 0), (0, 1, 0), (0, 2, 0)]
 
+    def test_grants_name_scenario_demands(self):
+        # Node 3 is placed but holds no link, so demand 0 cannot be routed
+        # and the solver's instance numbers demands 1 and 2 as 0 and 1.
+        # Both cross link 1, so each is granted one of its states.
+        net = make_network(range(4), [
+            EntangledLink(id=0, a=0, b=1, throughput=9.0),
+            EntangledLink(id=1, a=1, b=2, throughput=9.0, resource_count=2),
+        ])
+        scenario = line_scenario(
+            network_inline=net,
+            demands=(Demand(user=0, source=0, target=3, rate=1.0),
+                     Demand(user=1, source=0, target=2, rate=1.0),
+                     Demand(user=2, source=1, target=2, rate=1.0)),
+        )
+        records, trials = self.solutions(scenario)
+        for rec, entry in zip(records, trials):
+            assert rec.served == (1, 2) and rec.rejected == (0,)
+            assert entry["served"] == [1, 2]
+            assert entry["K"] == [[1, 1, [1, 0]], [2, 2, [1, 1]]]
+            for user, qid, _ in entry["K"]:
+                assert scenario.demands[qid].user == user
+
 
 class TestGenerators:
     def test_generate_network_is_seed_deterministic(self):

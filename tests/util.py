@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from etopo import (
     AssignmentInstance,
@@ -27,6 +27,7 @@ from etopo import (
     GeneratorParams,
     InterferenceSet,
     InvalidLevelError,
+    NotFoundError,
     Path,
     PlacementError,
     PStarMode,
@@ -44,6 +45,8 @@ from etopo import (
     route,
     run_scenario,
     scenario_from_dict,
+    solve_exact,
+    solve_greedy,
 )
 from etopo.assignment import (
     CTriple,
@@ -53,6 +56,7 @@ from etopo.assignment import (
     ResourceRef,
     RouteMemo,
     StateId,
+    UserId,
 )
 from etopo.coloring import EXACT_COLORING_CAP, Edge, Vertex
 from etopo.errors import Violation
@@ -449,6 +453,22 @@ def random_instance(
     return instance
 
 
+def feasible_pool(count=200, seed=1003):
+    """Random instances where the exact solver found a solution, with both
+    solvers' results attached."""
+    rng = random.Random(seed)
+    pool = []
+    while len(pool) < count:
+        inst = random_instance(rng)
+        if inst is None:
+            continue
+        exact = solve_exact(inst)
+        if not exact.feasible:
+            continue
+        pool.append((inst, exact, solve_greedy(inst)))
+    return pool
+
+
 # -- independent oracle -------------------------------------------------------
 
 
@@ -655,6 +675,83 @@ def reference_check_interference(
                           f"demands {sorted(granted)}")
             )
     return violations
+
+
+# flow_imbalance as it was when it oriented the user's whole hop list:
+# flow_imbalance must give the same value at every node for every user
+# whose assignment references only stored states.
+
+
+def _reference_user_entries(
+    solution: AssignmentSolution, user: UserId
+) -> list[tuple[LinkId, StateId]]:
+    return sorted((link, state) for u, link, state in solution.C if u == user)
+
+
+def _reference_path_orientation(
+    instance: AssignmentInstance, demand: Demand, entries: Sequence[tuple[LinkId, StateId]]
+) -> Optional[list[tuple[LinkId, NodeId, NodeId]]]:
+    """Orient a user's assigned links by walking from the demand source.
+
+    Returns (link, from, to) hops when the links form a simple path rooted
+    at the source with one assigned state per link; None otherwise.
+    """
+    counts: dict[LinkId, int] = {}
+    for link, _ in entries:
+        counts[link] = counts.get(link, 0) + 1
+    if not counts or any(c != 1 for c in counts.values()):
+        return None
+    unused = set(counts)
+    current = demand.source
+    seen = {current}
+    hops: list[tuple[LinkId, NodeId, NodeId]] = []
+    while unused:
+        incident = [
+            lid for lid in unused
+            if current in instance.network.link_by_id(lid).endpoints
+        ]
+        if len(incident) != 1:
+            return None
+        lid = incident[0]
+        nxt = instance.network.link_by_id(lid).other(current)
+        if nxt in seen:
+            return None
+        hops.append((lid, current, nxt))
+        seen.add(nxt)
+        unused.discard(lid)
+        current = nxt
+    return hops
+
+
+def reference_flow_imbalance(
+    instance: AssignmentInstance,
+    solution: AssignmentSolution,
+    node: NodeId,
+    user: UserId,
+) -> int:
+    """Net assigned flow of one user at a node: links out minus links onto it.
+
+    Direction comes from walking the user's assigned links from the
+    demand's source; assignments that do not form such a walk fall back to
+    the links' stored endpoint order.
+    """
+    if node not in instance.graph.placement:
+        raise NotFoundError(f"node {node} is not mapped")
+    _, demand = instance.demand_of_user(user)
+    entries = _reference_user_entries(solution, user)
+    hops = _reference_path_orientation(instance, demand, entries)
+    if hops is not None:
+        out_flow = sum(1 for _, frm, _ in hops if frm == node)
+        in_flow = sum(1 for _, _, to in hops if to == node)
+        return out_flow - in_flow
+    balance = 0
+    for link_id, _ in entries:
+        link = instance.network.link_by_id(link_id)
+        if link.a == node:
+            balance += 1
+        elif link.b == node:
+            balance -= 1
+    return balance
 
 
 def reference_build_conflict_graph(instance: AssignmentInstance) -> ConflictGraph:
