@@ -32,10 +32,12 @@ class PStarMode(str, Enum):
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Per-level probability thresholds with a default for unlisted levels."""
+    """The adaption rule: per-level probability thresholds, a default for
+    unlisted levels, and how a retained link's updated probability is read."""
 
     default: float = 0.0
     per_level: Mapping[int, float] = field(default_factory=dict)
+    mode: PStarMode = PStarMode.MEASURED
 
     def __post_init__(self) -> None:
         """A ValueError names the threshold as a thresholds file does,
@@ -91,16 +93,14 @@ class AdaptedLinkSet:
         return self.adjacency
 
 
-def _p_star(
-    links: Iterable[EntangledLink], policy: ThresholdPolicy, mode: PStarMode
-) -> dict[LinkId, float]:
+def _p_star(links: Iterable[EntangledLink], policy: ThresholdPolicy) -> dict[LinkId, float]:
     """The threshold rule: the updated probability of each link of links that
     meets its level's threshold, by link id. A link below threshold updates
     to zero and is left out; a retained link keeps its existence probability
-    under MEASURED and takes the threshold under THRESHOLD."""
+    when policy.mode is MEASURED and takes the threshold under THRESHOLD."""
     per_level = policy.per_level
     default = policy.default
-    measured = mode is PStarMode.MEASURED
+    measured = policy.mode is PStarMode.MEASURED
     retained: dict[LinkId, float] = {}
     for link in links:
         # link_existence_probability and policy.threshold_for, inlined: this
@@ -113,12 +113,7 @@ def _p_star(
 
 
 def updated_probability(
-    graph: BaseGraph,
-    network: OverlayNetwork,
-    x: NodeId,
-    y: NodeId,
-    policy: ThresholdPolicy,
-    mode: PStarMode = PStarMode.MEASURED,
+    network: OverlayNetwork, x: NodeId, y: NodeId, policy: ThresholdPolicy
 ) -> float:
     """Updated pair probability under the threshold rule.
 
@@ -130,7 +125,7 @@ def updated_probability(
     links = network.links_between(x, y)
     if not links:
         raise NotConnectedError(f"no entangled link between nodes {x} and {y}")
-    p_star = _p_star(links, policy, mode)
+    p_star = _p_star(links, policy)
     return max(p_star.get(l.id, 0.0) for l in links)
 
 
@@ -152,14 +147,11 @@ def _retained_adjacency(
 
 
 def adapt(
-    graph: BaseGraph,
-    network: OverlayNetwork,
-    policy: ThresholdPolicy,
-    mode: PStarMode = PStarMode.MEASURED,
+    graph: BaseGraph, network: OverlayNetwork, policy: ThresholdPolicy
 ) -> AdaptedLinkSet:
     """Filter every link against its level threshold, for all contacts of all
     nodes, and index the survivors by node of graph for routing."""
-    retained = _p_star(network.links, policy, mode)
+    retained = _p_star(network.links, policy)
     return AdaptedLinkSet(
         p_star_by_link=retained, graph=graph,
         adjacency=_retained_adjacency(graph, retained),
@@ -167,15 +159,11 @@ def adapt(
 
 
 def adapt_and_route(
-    graph: BaseGraph,
-    network: OverlayNetwork,
-    policy: ThresholdPolicy,
-    source: NodeId,
-    target: NodeId,
-    mode: PStarMode = PStarMode.MEASURED,
+    graph: BaseGraph, network: OverlayNetwork, policy: ThresholdPolicy,
+    source: NodeId, target: NodeId,
 ):
     """Run the threshold filter, then route over the adapted set."""
     from .routing import route
 
-    adapted = adapt(graph, network, policy, mode)
+    adapted = adapt(graph, network, policy)
     return route(graph, adapted, source, target)

@@ -90,12 +90,6 @@ def _dump_csv(rows: list[dict], columns: list[str], out: Optional[PathLike]) -> 
     _write_text(buffer.getvalue(), out)
 
 
-def _load_thresholds(args) -> ThresholdPolicy:
-    if args.thresholds is not None:
-        return thresholds_from_dict(_load_json(args.thresholds))
-    return thresholds_from_dict({"default": args.threshold})
-
-
 def _cmd_generate(args) -> int:
     params = GeneratorParams(
         num_nodes=args.nodes,
@@ -107,17 +101,21 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _basegraph_from_args(network, args):
+def _adapted_from_args(args):
+    """The network of adapt and route, and its links adapted on the lattice of
+    --k, --n, --placement and --seed (the set's graph) by the threshold flags."""
+    network = load_network(args.network)
     k, n, _, _ = base_graph_from_dict({"k": args.k, "n": args.n}, "base_graph")
     placement = load_placement(args.placement) if args.placement else None
-    return map_overlay(network, k, n, placement=placement, seed=_effective_seed(args.seed))
+    graph = map_overlay(network, k, n, placement=placement, seed=_effective_seed(args.seed))
+    policy = thresholds_from_dict({"default": args.threshold} if args.thresholds is None
+                                  else _load_json(args.thresholds))
+    return network, adapt(graph, network,
+                          dataclasses.replace(policy, mode=PStarMode(args.pstar_mode)))
 
 
 def _cmd_adapt(args) -> int:
-    network = load_network(args.network)
-    graph = _basegraph_from_args(network, args)
-    policy = _load_thresholds(args)
-    adapted = adapt(graph, network, policy, PStarMode(args.pstar_mode))
+    network, adapted = _adapted_from_args(args)
     rows = [
         {
             "link": link.id, "a": link.a, "b": link.b, "level": link.level,
@@ -137,11 +135,8 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_route(args) -> int:
-    network = load_network(args.network)
-    graph = _basegraph_from_args(network, args)
-    policy = _load_thresholds(args)
-    adapted = adapt(graph, network, policy, PStarMode(args.pstar_mode))
-    outcome = route(graph, adapted, args.source, args.target)
+    _, adapted = _adapted_from_args(args)
+    outcome = route(adapted.graph, adapted, args.source, args.target)
     _dump(
         {
             "status": outcome.status.value,

@@ -58,8 +58,8 @@ def build_conflict_graph(instance: AssignmentInstance) -> ConflictGraph:
     """Conflict graph of an instance's interfering entangled states.
 
     Each demand with a rival contributes one vertex (its held entangled
-    state), and an edge joins it to each of its rivals. k_star counts the
-    distinct interfering states.
+    state), and an edge joins it to each of its rivals. k_star is the
+    vertex count, not the number of distinct interfering states.
     """
     vertices = frozenset(qid for qid, _ in instance.rivals)
     edges = frozenset(

@@ -59,6 +59,12 @@ class GeneratorParams:
             raise ConfigError(
                 f"levels: expected a nonempty list of distinct integers >= 1, got {self.levels!r}"
             )
+        slots = self.num_nodes * (self.num_nodes - 1) // 2 * len(self.levels)
+        if self.num_links > slots:
+            raise ConfigError(
+                f"num_links: cannot place {self.num_links} links: only {slots} "
+                f"distinct (pair, level) slots exist"
+            )
         for name in ("swap_range", "loss_range", "fidelity_range"):
             _check_range(name, getattr(self, name), (int, float), 1)
         _check_range("throughput_range", self.throughput_range, (int, float), math.inf)
@@ -91,13 +97,9 @@ def generate_network(params: GeneratorParams, seed: int) -> OverlayNetwork:
     # Slot i is the (a, b, level) tuple at index i of the list
     # [(a, b, level) for (a, b) in combinations(nodes, 2) for level in levels],
     # which is never built: rng.sample reads only the population's length
-    # and items, so sampling the indices draws the same slots.
+    # and items, so sampling the indices draws the same slots. GeneratorParams
+    # holds num_links to at most slots.
     slots = n * (n - 1) // 2 * len(levels)
-    if params.num_links > slots:
-        raise ConfigError(
-            f"cannot place {params.num_links} links: only {slots} distinct "
-            f"(pair, level) slots exist"
-        )
     # row_starts[a] is the index in combinations order of the pair (a, a + 1).
     row_starts = list(itertools.accumulate(range(n - 1, 0, -1), initial=0))
     chosen = []

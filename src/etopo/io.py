@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import AbstractSet, Any, Mapping, Optional, Union
 
@@ -24,7 +24,7 @@ from .assignment import (
 )
 from .basegraph import map_overlay
 from .coloring import ConflictGraph, make_conflict_graph
-from .errors import ConfigError, InvalidLevelError
+from .errors import ConfigError, InvalidLevelError, LatticeCapacityError, PlacementError
 from .generate import GeneratorParams
 from .overlay import (
     EntangledLink,
@@ -254,6 +254,17 @@ def base_graph_from_dict(
     )
 
 
+# What map_overlay raises for a base_graph block that it cannot place.
+BASE_GRAPH_FAULTS = (PlacementError, LatticeCapacityError)
+
+
+def base_graph_fault(exc: Exception, context: str) -> Exception:
+    """exc, one of BASE_GRAPH_FAULTS raised for the base_graph block at field
+    path context, of the same type with the path of the field at fault first."""
+    where = f"{context}.placement" if isinstance(exc, PlacementError) else context
+    return type(exc)(f"{where}: {exc}")
+
+
 def base_graph_to_dict(k: int, n: int,
                        placement: Optional[Mapping[int, tuple[int, ...]]]) -> dict:
     data: dict[str, Any] = {"k": k, "n": n}
@@ -297,9 +308,12 @@ def thresholds_to_dict(policy: ThresholdPolicy) -> dict:
     }
 
 
-def pstar_mode_from_dict(data: Mapping[str, Any], context: str) -> PStarMode:
+def pstar_mode_from_dict(data: Mapping[str, Any], context: str) -> ThresholdPolicy:
+    """The adaption rule of the scenario or instance record at field path
+    context: its thresholds block, with its pstar_mode key as the mode."""
+    policy = thresholds_from_dict(data.get("thresholds", {}), f"{context}.thresholds")
     try:
-        return PStarMode(data.get("pstar_mode", "measured"))
+        return replace(policy, mode=PStarMode(data.get("pstar_mode", "measured")))
     except ValueError as exc:
         raise ConfigError(f"{context}.pstar_mode: {exc}") from exc
 
@@ -384,9 +398,13 @@ def instance_from_dict(
     network = (network_from_dict(data["network"], "instance.network")
                if network_file is None else load_network(network_file))
     k, n, placement, seed = base_graph_from_dict(data["base_graph"], "instance.base_graph")
-    graph = map_overlay(network, k, n, placement=placement, seed=seed)
-    policy = thresholds_from_dict(data.get("thresholds", {}), "instance.thresholds")
-    adapted = adapt(graph, network, policy, pstar_mode_from_dict(data, "instance"))
+    if placement is None and seed is None:  # else each load would place anew
+        raise ConfigError("instance.base_graph: provide placement or seed")
+    try:
+        graph = map_overlay(network, k, n, placement=placement, seed=seed)
+    except BASE_GRAPH_FAULTS as exc:
+        raise base_graph_fault(exc, "instance.base_graph") from None
+    adapted = adapt(graph, network, pstar_mode_from_dict(data, "instance"))
     demands = demands_from_list(data["demands"], "instance.demands")
     resource_sets = {}
     for i, record in enumerate(_list(data["resource_sets"], "instance.resource_sets")):
@@ -431,14 +449,13 @@ def load_instance(path: PathLike) -> AssignmentInstance:
     return instance_from_dict(_load_json(path), base_dir=path.parent)
 
 
-def instance_to_dict(instance: AssignmentInstance, policy: ThresholdPolicy,
-                     mode: PStarMode = PStarMode.MEASURED) -> dict:
+def instance_to_dict(instance: AssignmentInstance, policy: ThresholdPolicy) -> dict:
     return {
         "network": network_to_dict(instance.network),
         "base_graph": base_graph_to_dict(
             instance.graph.k, instance.graph.n, instance.graph.placement),
         "thresholds": thresholds_to_dict(policy),
-        "pstar_mode": mode.value,
+        "pstar_mode": policy.mode.value,
         "demands": [demand_to_dict(d) for d in instance.demands],
         "resource_sets": [
             {"link": link, "states": list(rs.states)}
@@ -453,8 +470,8 @@ def instance_to_dict(instance: AssignmentInstance, policy: ThresholdPolicy,
 
 
 def save_instance(instance: AssignmentInstance, policy: ThresholdPolicy,
-                  path: PathLike, mode: PStarMode = PStarMode.MEASURED) -> None:
-    _write_file(_json_text(instance_to_dict(instance, policy, mode)), path)
+                  path: PathLike) -> None:
+    _write_file(_json_text(instance_to_dict(instance, policy)), path)
 
 
 # -- solutions ---------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
-from .adaption import PStarMode, ThresholdPolicy, adapt
+from .adaption import ThresholdPolicy, adapt
 from .assignment import (
     BNB_VARIABLE_CAP,  # re-exported for callers that size instances by it
     AssignmentInstance,
@@ -41,9 +41,11 @@ from .generate import (
     kleinberg_lattice,
 )
 from .io import (
+    BASE_GRAPH_FAULTS,
     _integer,
     _list,
     _require,
+    base_graph_fault,
     base_graph_from_dict,
     base_graph_to_dict,
     demand_to_dict,
@@ -58,7 +60,6 @@ from .io import (
     network_to_dict,
     pstar_mode_from_dict,
     solution_to_dict,
-    thresholds_from_dict,
     thresholds_to_dict,
 )
 from .overlay import FailureEvent, LinkId, OverlayNetwork, apply_failures
@@ -84,7 +85,6 @@ class Scenario:
     n: int = 8
     placement: Optional[Mapping[int, tuple[int, ...]]] = None
     thresholds: ThresholdPolicy = field(default_factory=ThresholdPolicy)
-    pstar_mode: PStarMode = PStarMode.MEASURED
     demands: tuple[Demand, ...] = ()
     failures: tuple[FailureEvent, ...] = ()
 
@@ -130,8 +130,7 @@ def scenario_from_dict(data: Mapping[str, Any], base_dir: Optional[Path] = None)
         k=k,
         n=n,
         placement=placement,
-        thresholds=thresholds_from_dict(data.get("thresholds", {}), "scenario.thresholds"),
-        pstar_mode=pstar_mode_from_dict(data, "scenario"),
+        thresholds=pstar_mode_from_dict(data, "scenario"),
         demands=demands_from_list(data["demands"], "scenario.demands"),
         failures=tuple(
             failure_from_dict(f, f"scenario.failures[{i}]")
@@ -146,7 +145,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "trials": scenario.trials,
         "base_graph": base_graph_to_dict(scenario.k, scenario.n, scenario.placement),
         "thresholds": thresholds_to_dict(scenario.thresholds),
-        "pstar_mode": scenario.pstar_mode.value,
+        "pstar_mode": scenario.thresholds.mode.value,
         "demands": [demand_to_dict(d) for d in scenario.demands],
         "failures": [failure_to_dict(f) for f in scenario.failures],
     }
@@ -259,7 +258,8 @@ def build_trial_instance(
 
 def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
     """Run every trial; failure events naming no link of the base network
-    are skipped with a warning, one per event.
+    are skipped with a warning, one per event. A demand endpoint that is
+    not a node of the base network raises ConfigError before any trial.
 
     Each trial routes each distinct (source, target) pair of its demands
     once, into a route memo that this function owns and drops when the
@@ -270,6 +270,11 @@ def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
     The resource sets are built once, from the base network.
     """
     base = _base_network(scenario)
+    for i, demand in enumerate(scenario.demands):  # failures never remove nodes
+        for end, node in (("source", demand.source), ("target", demand.target)):
+            if node not in base.nodes:
+                raise ConfigError(f"scenario.demands[{i}].{end}: node {node} "
+                                  f"is not a network node")
     resource_sets = link_resource_sets(base)
     for event in scenario.failures:
         try:
@@ -285,12 +290,12 @@ def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
         t0 = time.perf_counter()
         network = apply_failures(base, scenario.failures, until=trial)
         placement_seed = derive_seed(scenario.seed, "placement", trial)
-        graph = map_overlay(
-            network, scenario.k, scenario.n,
-            placement=scenario.placement,
-            seed=placement_seed,
-        )
-        adapted = adapt(graph, network, scenario.thresholds, scenario.pstar_mode)
+        try:
+            graph = map_overlay(network, scenario.k, scenario.n,
+                                placement=scenario.placement, seed=placement_seed)
+        except BASE_GRAPH_FAULTS as exc:
+            raise base_graph_fault(exc, "scenario.base_graph") from None
+        adapted = adapt(graph, network, scenario.thresholds)
         t1 = time.perf_counter()
 
         routes: RouteMemo = {}

@@ -35,41 +35,39 @@ class TestUpdatedProbability:
     def test_below_threshold_zeroes(self):
         from etopo import updated_probability
 
-        net, graph = three_link_setup()
+        net, _ = three_link_setup()
         policy = ThresholdPolicy(default=0.9)
-        assert updated_probability(graph, net, 1, 2, policy) == 0.0
+        assert updated_probability(net, 1, 2, policy) == 0.0
 
     def test_above_threshold_keeps_measured(self):
         from etopo import updated_probability
 
-        net, graph = three_link_setup()
+        net, _ = three_link_setup()
         policy = ThresholdPolicy(default=0.9)
-        assert updated_probability(graph, net, 0, 1, policy) == pytest.approx(0.95)
+        assert updated_probability(net, 0, 1, policy) == pytest.approx(0.95)
 
     def test_zero_threshold_is_identity(self):
         from etopo import updated_probability
 
-        net, graph = three_link_setup()
+        net, _ = three_link_setup()
         policy = ThresholdPolicy(default=0.0)
         for link in net.links:
-            assert updated_probability(graph, net, link.a, link.b, policy) == \
+            assert updated_probability(net, link.a, link.b, policy) == \
                 pytest.approx(link_existence_probability(link))
 
     def test_threshold_mode_pins_to_threshold(self):
         from etopo import updated_probability
 
-        net, graph = three_link_setup()
-        policy = ThresholdPolicy(default=0.9)
-        assert updated_probability(
-            graph, net, 0, 1, policy, mode=PStarMode.THRESHOLD
-        ) == pytest.approx(0.9)
+        net, _ = three_link_setup()
+        policy = ThresholdPolicy(default=0.9, mode=PStarMode.THRESHOLD)
+        assert updated_probability(net, 0, 1, policy) == pytest.approx(0.9)
 
     def test_unconnected_pair(self):
         from etopo import updated_probability
 
-        net, graph = three_link_setup()
+        net, _ = three_link_setup()
         with pytest.raises(NotConnectedError):
-            updated_probability(graph, net, 0, 3, ThresholdPolicy())
+            updated_probability(net, 0, 3, ThresholdPolicy())
 
 
 class TestAdapt:
@@ -122,7 +120,7 @@ class TestAdapt:
 
     def test_retained_at_zero_p_star_stays_in_links(self):
         net, graph = three_link_setup()
-        pinned = adapt(graph, net, ThresholdPolicy(default=0.0), PStarMode.THRESHOLD)
+        pinned = adapt(graph, net, ThresholdPolicy(default=0.0, mode=PStarMode.THRESHOLD))
         assert pinned.links == {0, 1, 2}
         assert all(pinned.link_p_star(l.id) == 0.0 for l in net.links)
 
@@ -195,8 +193,9 @@ class TestThresholdRule:
             policy = ThresholdPolicy(
                 default=rng.choice(probs),
                 per_level={l: rng.choice([*probs, rng.random()]) for l in (1, 2)},
+                mode=mode,
             )
-            adapted = adapt(graph, net, policy, mode)
+            adapted = adapt(graph, net, policy)
             expected = {}
             for link in net.links:
                 meets, p_star = reference_link_update(link, policy, mode)
@@ -207,7 +206,7 @@ class TestThresholdRule:
                 if link_existence_probability(link) == policy.threshold_for(link.level):
                     at_threshold += 1
                     assert link.id in adapted.links
-                assert updated_probability(graph, net, link.a, link.b, policy, mode) == max(
+                assert updated_probability(net, link.a, link.b, policy) == max(
                     reference_link_update(l, policy, mode)[1]
                     for l in net.links_between(link.a, link.b)
                 )

@@ -11,10 +11,12 @@ non-finite number, so every such file must exit 1.
 
 A third set of documents each breaks one rule, most of them rules that
 span records, such as two links on one pair and level or a resource set
-one state short, and some of one record, such as a link at level 0 or a
-scenario with two network sources or none. Each must exit 1 with an error
-that names the offending record's field path, as must a boolean or a
-string in a link's number fields.
+one state short, some of one record, such as a link at level 0 or a
+scenario with two network sources or none, and some found only once the
+records are read, such as a placement that misses a node or a lattice too
+small for the network. Each must exit 1 with an error that names the
+offending record's field path, as must a boolean or a string in a link's
+number fields.
 
 Last, whole files that JSON cannot decode (bytes that are not text in
 any encoding it detects, too deep a nesting, an integer literal longer
@@ -211,6 +213,28 @@ CROSS_RECORD = [
     ("scenario-inline", ("network", "nodes"), [0, 0, 1, 2], "scenario.network.nodes[1]"),
     ("graph", ("vertices",), [0, 1, 1, 2], "graph.vertices[2]"),
     ("graph", ("k_star",), -3, "graph.k_star"),
+    ("instance", ("thresholds", "levels", "1"), 0.9, "instance.resource_sets[0].link"),
+    ("instance", ("demands", 0, "target"), 0, "instance.demands[0]"),
+    ("scenario-inline", ("demands", 0, "target"), 0, "scenario.demands[0]"),
+    # Faults found once the records are read: placing the nodes on the
+    # lattice, counting a generator's slots, a scenario's demand endpoints
+    # against its network.
+    ("scenario-inline", ("base_graph", "placement"), PLACEMENT[:2],
+     "scenario.base_graph.placement"),  # misses node 2
+    ("scenario-inline", ("base_graph", "placement", 1, "coords"), [4],
+     "scenario.base_graph.placement"),  # outside [0, 4)
+    ("scenario-inline", ("base_graph", "placement", 1, "coords"), [1, 0],
+     "scenario.base_graph.placement"),  # of dimension 2
+    ("scenario-inline", ("base_graph", "placement", 1, "coords"), [0],
+     "scenario.base_graph.placement"),  # in node 0's cell
+    ("instance", ("base_graph",), {"k": 1, "n": 4, "placement": PLACEMENT[:2]},
+     "instance.base_graph.placement"),
+    ("scenario-inline", ("base_graph", "n"), 2, "scenario.base_graph"),  # 2 cells, 3 nodes
+    ("instance", ("base_graph", "n"), 2, "instance.base_graph"),
+    ("instance", ("base_graph",), {"k": 1, "n": 4}, "instance.base_graph"),  # nor seed
+    ("scenario-inline", ("demands", 0, "target"), 99, "scenario.demands[0].target"),
+    ("scenario-generator", ("demands", 0, "source"), 99, "scenario.demands[0].source"),
+    ("scenario-generator", ("generator", "num_links"), 13, "scenario.generator.num_links"),
 ]
 
 

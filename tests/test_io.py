@@ -9,9 +9,9 @@ from etopo import (
     ConfigError,
     Demand,
     EntangledLink,
-    PStarMode,
     ThresholdPolicy,
     make_network,
+    map_overlay,
 )
 from etopo.io import (
     _require,
@@ -138,12 +138,28 @@ class TestInstance:
         inst = instance_from_dict(data)
         assert inst.demands == (Demand(user=0, source=0, target=2, rate=1.0),)
         assert inst.states_of(0) == (0, 1)
-        again = instance_from_dict(
-            instance_to_dict(inst, ThresholdPolicy(), PStarMode.MEASURED)
-        )
+        again = instance_from_dict(instance_to_dict(inst, ThresholdPolicy()))
         assert again.demands == inst.demands
         assert again.resource_sets == inst.resource_sets
         assert again.network == inst.network
+
+    def test_base_graph_needs_placement_or_seed(self):
+        # Without either, each load would place the nodes anew at random.
+        data = self.base_dict()
+        del data["base_graph"]["placement"]
+        with pytest.raises(ConfigError,
+                           match=r"^instance\.base_graph: provide placement or seed$"):
+            instance_from_dict(data)
+        data["base_graph"]["seed"] = 5
+        assert instance_from_dict(data).graph == instance_from_dict(data).graph
+
+    def test_placement_wins_over_seed(self):
+        data = self.base_dict()
+        placed = instance_from_dict(data).graph.placement
+        data["base_graph"]["seed"] = 5
+        inst = instance_from_dict(data)
+        assert map_overlay(inst.network, 1, 4, seed=5).placement != placed
+        assert inst.graph.placement == placed
 
     def test_resource_set_for_unknown_link_is_one_violation(self):
         data = self.base_dict()
