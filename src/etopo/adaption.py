@@ -42,11 +42,11 @@ class ThresholdPolicy:
     def __post_init__(self) -> None:
         """A ValueError names the threshold as a thresholds file does,
         "default" or "levels.<level>", so a reader can put its path first."""
-        for name, value in [("default", self.default)] + [
-            (f"levels.{l}", t) for l, t in self.per_level.items()
-        ]:
+        if not 0.0 <= self.default <= 1.0:
+            raise ValueError(f"default: threshold {self.default} is outside [0, 1]")
+        for level, value in self.per_level.items():
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}: threshold {value} is outside [0, 1]")
+                raise ValueError(f"levels.{level}: threshold {value} is outside [0, 1]")
 
     def threshold_for(self, level: int) -> float:
         return self.per_level.get(level, self.default)

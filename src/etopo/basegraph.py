@@ -51,11 +51,12 @@ class BaseGraph:
     placement maps every overlay node to a distinct lattice cell; contacts
     lists, per node, the (neighbor, link id, neighbor cell) entangled
     contacts inherited from the overlay, sorted by neighbor then link id
-    (greedy routing's tie-break relies on that order). The cell is the very
-    tuple placement holds for the neighbor, or None when placement lacks
-    it, so a walk reads a contact's cell from its row without a placement
-    lookup. contacts_of gives a node's (neighbor, link id) pairs. Treat
-    instances as immutable after construction.
+    (greedy routing's tie-break relies on that order). A row's triples are
+    made together, node by node, so they sit side by side in memory. The
+    cell is the very tuple placement holds for the neighbor, or None when
+    placement lacks it, so a walk reads a contact's cell from its row
+    without a placement lookup. contacts_of gives a node's (neighbor, link
+    id) pairs. Treat instances as immutable after construction.
     """
 
     k: int
@@ -120,20 +121,27 @@ def map_overlay(
         cells = rng.sample(range(capacity), len(nodes))
         placed = {node: _unrank(cell, k, n) for node, cell in zip(nodes, cells)}
 
-    rows: defaultdict[NodeId, list[Contact]] = defaultdict(list)
-    cell = placed.get
+    # Each node's incident links, in link order; a node is a key from its
+    # first link on, a link's a before its b.
+    incident: defaultdict[NodeId, list[EntangledLink]] = defaultdict(list)
     for link in network.links:
-        a, b, link_id = link.a, link.b, link.id
-        rows[a].append((b, link_id, cell(b)))
-        rows[b].append((a, link_id, cell(a)))
-    for row in rows.values():
+        incident[link.a].append(link)
+        incident[link.b].append(link)
+    # A row's triples are made one after another, so they sit side by side
+    # in memory where a greedy walk scans them.
+    cell = placed.get
+    contacts: dict[NodeId, tuple[Contact, ...]] = {}
+    for node, links in incident.items():
+        row = []
+        append = row.append
+        for link in links:
+            far = link.a
+            if far == node:
+                far = link.b
+            append((far, link.id, cell(far)))
         row.sort()
-    return BaseGraph(
-        k=k,
-        n=n,
-        placement=placed,
-        contacts=dict(zip(rows, map(tuple, rows.values()))),
-    )
+        contacts[node] = tuple(row)
+    return BaseGraph(k=k, n=n, placement=placed, contacts=contacts)
 
 
 def _checked_placement(

@@ -22,7 +22,14 @@ from .adaption import PStarMode, ThresholdPolicy, adapt
 from .assignment import SolveStatus, solve_exact, solve_greedy
 from .basegraph import map_overlay
 from .coloring import reduction_from_coloring
-from .errors import ConfigError, EtopoError, TooLargeError
+from .errors import (
+    ConfigError,
+    EtopoError,
+    LatticeCapacityError,
+    NotFoundError,
+    PlacementError,
+    TooLargeError,
+)
 from .generate import GeneratorParams, generate_network
 from .io import (
     PathLike,
@@ -90,12 +97,20 @@ def _dump_csv(rows: list[dict], columns: list[str], out: Optional[PathLike]) -> 
     _write_text(buffer.getvalue(), out)
 
 
+# The flag that sets each GeneratorParams field etopo generate takes.
+_GENERATOR_FLAGS = {"num_nodes": "--nodes", "num_links": "--links", "levels": "--levels"}
+
+
 def _cmd_generate(args) -> int:
-    params = GeneratorParams(
-        num_nodes=args.nodes,
-        num_links=args.links,
-        levels=tuple(args.levels),
-    )
+    try:
+        params = GeneratorParams(
+            num_nodes=args.nodes,
+            num_links=args.links,
+            levels=tuple(args.levels),
+        )
+    except ConfigError as exc:  # GeneratorParams names the field first
+        field, _, reason = str(exc).partition(": ")
+        raise ConfigError(f"{_GENERATOR_FLAGS[field]}: {reason}") from exc
     network = generate_network(params, _effective_seed(args.seed))
     save_network(network, args.out)
     return EXIT_OK
@@ -107,7 +122,13 @@ def _adapted_from_args(args):
     network = load_network(args.network)
     k, n, _, _ = base_graph_from_dict({"k": args.k, "n": args.n}, "base_graph")
     placement = load_placement(args.placement) if args.placement else None
-    graph = map_overlay(network, k, n, placement=placement, seed=_effective_seed(args.seed))
+    try:
+        graph = map_overlay(network, k, n, placement=placement,
+                            seed=_effective_seed(args.seed))
+    except PlacementError as exc:
+        raise PlacementError(f"--placement {args.placement}: {exc}") from exc
+    except LatticeCapacityError as exc:
+        raise LatticeCapacityError(f"--k {k} --n {n}: {exc}") from exc
     policy = thresholds_from_dict({"default": args.threshold} if args.thresholds is None
                                   else _load_json(args.thresholds))
     return network, adapt(graph, network,
@@ -136,6 +157,9 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_route(args) -> int:
     _, adapted = _adapted_from_args(args)
+    for flag, node in (("--source", args.source), ("--target", args.target)):
+        if node not in adapted.graph.placement:
+            raise NotFoundError(f"{flag}: node {node} is not mapped in the base-graph")
     outcome = route(adapted.graph, adapted, args.source, args.target)
     _dump(
         {

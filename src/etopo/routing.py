@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from math import inf
 from operator import sub
 from typing import AbstractSet, Mapping, NamedTuple, Optional
 
@@ -102,10 +101,11 @@ def route(
     placement lacks.
 
     The distance to the target is the L1 distance of the cells, each
-    contact's cell read from its adjacency row. On a planar graph (k == 2)
-    it is computed as abs(x - tx) + abs(y - ty) from the unpacked cells;
-    for any other k it is summed over the coordinates. Both give the same
-    integer, so outcomes are the same for every k.
+    contact's cell read from its adjacency row. The scan reads a contact's
+    cell first, and its neighbor and link only for a contact it keeps. On
+    a planar graph (k == 2) the distance is abs(x - tx) + abs(y - ty) from
+    the unpacked cell; for any other k it is summed over the coordinates.
+    Both give the same integer, so outcomes are the same for every k.
 
     With a plan, the walk returns BLOCKED (no path, the steps so far) as
     soon as the path it would return is sure to hold a node of
@@ -127,6 +127,8 @@ def route(
     planar = graph.k == 2
     if planar:
         tx, ty = target_coord
+    # Above every L1 distance on the lattice, as each coordinate is in [0, n).
+    beyond = graph.k * graph.n
     if plan is not None:
         position, walked = plan
         # The furthest plan position among the visited nodes.
@@ -138,29 +140,35 @@ def route(
     while stack:
         # Rows are sorted by (node, link), so keeping the first strictly
         # closer unvisited contact breaks distance ties by lowest node, then
-        # link. A visited contact can never be kept, so visited is tested
-        # only for a contact that would be.
-        best_dist, best_lid = inf, None
+        # link. A contact's distance is read off its cell alone; visited is
+        # tested only for a contact that would be kept, and the neighbor and
+        # link are read only from the one kept.
+        best_dist, best = beyond, None
         try:
-            for nbr, lid, cell in adjacency.get(stack[-1], ()):
-                if planar:
-                    x, y = cell
-                    dist = abs(x - tx) + abs(y - ty)
-                else:
-                    dist = sum(map(abs, map(sub, cell, target_coord)))
-                if dist < best_dist and nbr not in visited:
-                    best_dist, best_nbr, best_lid = dist, nbr, lid
+            if planar:
+                for contact in adjacency.get(stack[-1], ()):
+                    x, y = contact[2]
+                    # abs(x - tx) + abs(y - ty), without the two calls
+                    dist = (x - tx if x > tx else tx - x) + (y - ty if y > ty else ty - y)
+                    if dist < best_dist and contact[0] not in visited:
+                        best_dist, best = dist, contact
+            else:
+                for contact in adjacency.get(stack[-1], ()):
+                    dist = sum(map(abs, map(sub, contact[2], target_coord)))
+                    if dist < best_dist and contact[0] not in visited:
+                        best_dist, best = dist, contact
         except TypeError:
             # Only an unmapped neighbor's cell, None, fails to unpack.
             raise NotFoundError(
-                f"node {nbr} is not mapped in the base-graph"
+                f"node {contact[0]} is not mapped in the base-graph"
             ) from None
         steps += 1
-        if best_lid is None:
+        if best is None:
             stack.pop()
             if link_stack:
                 link_stack.pop()
             continue
+        best_nbr, best_lid, _ = best
         visited.add(best_nbr)
         stack.append(best_nbr)
         link_stack.append(best_lid)

@@ -176,6 +176,25 @@ class TestAdapt:
         assert second.links == first.links
 
 
+class TestThresholdPolicyRange:
+    @pytest.mark.parametrize("default, per_level, message", [
+        (1.5, {}, "default: threshold 1.5 is outside [0, 1]"),
+        (-0.0001, {2: 2.0}, "default: threshold -0.0001 is outside [0, 1]"),
+        (float("nan"), {}, "default: threshold nan is outside [0, 1]"),
+        (0.5, {1: 0.2, 3: -1, 2: 7.0}, "levels.3: threshold -1 is outside [0, 1]"),
+        (0.0, {4: float("inf")}, "levels.4: threshold inf is outside [0, 1]"),
+    ])
+    def test_first_threshold_out_of_range_is_named(self, default, per_level, message):
+        # default first, then the levels in their order
+        with pytest.raises(ValueError) as exc:
+            ThresholdPolicy(default=default, per_level=per_level)
+        assert str(exc.value) == message
+
+    def test_bounds_are_in_range(self):
+        policy = ThresholdPolicy(default=1.0, per_level={1: 0.0, 2: 1})
+        assert policy.threshold_for(2) == 1 and policy.threshold_for(5) == 1.0
+
+
 class TestThresholdRule:
     """adapt and updated_probability apply the rule of reference_link_update,
     link by link, over random overlays with per-level thresholds."""

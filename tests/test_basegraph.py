@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import defaultdict
 
@@ -20,7 +21,7 @@ from etopo import (
     map_overlay,
     normalizing_term,
 )
-from util import random_overlay, reference_placement
+from util import random_overlay, reference_contacts, reference_placement
 
 coords = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 
@@ -132,6 +133,44 @@ class TestContactRows:
             assert graph.contacts_of(node) == tuple(sorted(pairs[node]))
             assert [c[:2] for c in graph.contacts.get(node, ())] == sorted(pairs[node])
         assert graph.contacts_of(99) == ()
+
+    @pytest.mark.parametrize("k, n", [(1, 40), (2, 8), (3, 4)])
+    def test_rows_match_the_link_order_build(self, k, n):
+        # Shuffled links, parallel links at two levels, nodes without links
+        # and links to nodes the placement never saw (cell None). Every
+        # other network numbers its nodes from 1000, each endpoint a new int
+        # object, as a file reader gives them: equal ids, not the same object.
+        rng = random.Random(k)
+        parallel = isolated = unplaced = 0
+        for seed in range(40):
+            num_nodes = rng.randint(2, 16)
+            net = random_overlay(rng, num_nodes, rng.randint(0, 30), levels=(1, 2))
+            strays = [EntangledLink(id=len(net.links) + i, a=rng.randrange(num_nodes),
+                                    b=num_nodes + i) for i in range(rng.randint(0, 2))]
+            links = [*net.links, *strays]
+            rng.shuffle(links)
+            nodes = net.nodes
+            if seed % 2:
+                links = [dataclasses.replace(l, a=int(str(1000 + l.a)), b=int(str(1000 + l.b)))
+                         for l in links]
+                nodes = [int(str(1000 + v)) for v in nodes]
+            net = make_network(nodes, links)
+            graph = map_overlay(net, k=k, n=n, seed=seed)
+            expected = reference_contacts(net, graph.placement)
+            assert graph.contacts == expected
+            assert list(graph.contacts) == list(expected)
+            rows = graph.contacts.values()
+            parallel += any(len({c[0] for c in row}) < len(row) for row in rows)
+            isolated += not net.nodes <= graph.contacts.keys()
+            unplaced += any(c[2] is None for row in rows for c in row)
+        assert parallel and isolated and unplaced
+
+    @pytest.mark.parametrize("n", [2, 5, 33])
+    def test_lattice_rows_match_the_link_order_build(self, n):
+        net, graph = kleinberg_lattice(n, n)
+        expected = reference_contacts(net, graph.placement)
+        assert graph.contacts == expected
+        assert list(graph.contacts) == list(expected)
 
 
 def _outcome(place, *args):

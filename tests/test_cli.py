@@ -630,6 +630,19 @@ class TestBenchRouting:
                 line,
             )
 
+    @pytest.mark.parametrize("args, digest", [
+        (["--sizes", "16,32,64", "--trials", "200", "--seed", "5"],
+         "530a4b37654b1ebef66f8cc5bacf7ca075af7970480900e47f0fffa072164c87"),
+        (["--sizes", "128", "--trials", "100", "--seed", "9", "--format", "json"],
+         "bdff11ac7e21ba89e95bf1387a4fde35fba136f47a85f5a2361aba678b5ccae3"),
+    ], ids=["csv", "json"])
+    def test_stdout_is_pinned(self, capsys, args, digest):
+        # Lattices, routes and step counts together: a faster build or walk
+        # must print these same bytes.
+        assert main(["bench-routing", *args]) == EXIT_OK
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
+
     @pytest.mark.parametrize("flag, value", [
         ("--trials", "0"),
         ("--trials", "-1"),

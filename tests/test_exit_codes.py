@@ -21,6 +21,10 @@ number fields.
 Last, whole files that JSON cannot decode (bytes that are not text in
 any encoding it detects, too deep a nesting, an integer literal longer
 than the int-string limit) must exit 1 with an error that names the file.
+
+So must a fault in a command-line flag found past the readers, such as a
+lattice too small for the network or a source node it lacks: the error
+names the flag, and the file that a flag names when that file is at fault.
 """
 
 import codecs
@@ -309,3 +313,55 @@ def test_undecodable_file_exits_config_error(kind, label, breaks, tmp_path, caps
     path.write_bytes(breaks(json.dumps(FILES[kind]).encode()))
     assert main(_command(kind, str(path), tmp_path)) == EXIT_CONFIG
     assert f"{path}: " in capsys.readouterr().err
+
+
+# Faults that show only once the files are read, in a flag or in the file a
+# flag names, on a 30-node network: (id, command, flags, error). Each must
+# exit 1 and name the flag, and the file when a file is at fault. Later
+# flags override the defaults, --k 2 --n 8 --source 0 --target 1.
+FLAG_FAULTS = [
+    ("placement-misses-a-node", "adapt", ["--placement", "{placement}"],
+     "--placement {placement}: placement missing node 1"),
+    ("placement-misses-a-node", "route", ["--placement", "{placement}"],
+     "--placement {placement}: placement missing node 1"),
+    ("lattice-too-small", "adapt", ["--k", "1", "--n", "4"],
+     "--k 1 --n 4: lattice with 4 cells cannot hold 30 nodes"),
+    ("lattice-too-small", "route", ["--k", "1", "--n", "4"],
+     "--k 1 --n 4: lattice with 4 cells cannot hold 30 nodes"),
+    ("unknown-source", "route", ["--source", "99"],
+     "--source: node 99 is not mapped in the base-graph"),
+    ("unknown-target", "route", ["--target", "99"],
+     "--target: node 99 is not mapped in the base-graph"),
+]
+
+
+@pytest.mark.parametrize("command, flags, message", [c[1:] for c in FLAG_FAULTS],
+                         ids=[f"{c[1]}-{c[0]}" for c in FLAG_FAULTS])
+def test_flag_fault_names_the_flag(command, flags, message, tmp_path, capsys):
+    network = tmp_path / "network.json"
+    assert main(["generate", "--nodes", "30", "--links", "40", "--seed", "3",
+                 "--out", str(network)]) == 0
+    placement = tmp_path / "placement.json"
+    placement.write_text(json.dumps([{"node": 0, "coords": [0, 0]}]))
+    argv = [command, str(network), "--k", "2", "--n", "8", "--seed", "1",
+            "--out", str(tmp_path / "out")]
+    if command == "route":
+        argv += ["--source", "0", "--target", "1"]
+    argv += [flag.format(placement=placement) for flag in flags]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message.format(placement=placement)}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--nodes", "3", "--links", "9"],
+     "--links: cannot place 9 links: only 3 distinct (pair, level) slots exist"),
+    (["--nodes", "1"], "--nodes: must be >= 2, got 1"),
+    (["--links", "-1"], "--links: must be >= 0, got -1"),
+    (["--levels", "0"],
+     "--levels: expected a nonempty list of distinct integers >= 1, got (0,)"),
+], ids=["links", "nodes", "negative-links", "levels"])
+def test_generate_flag_fault_names_the_flag(flags, message, tmp_path, capsys):
+    out = tmp_path / "network.json"
+    assert main(["generate", *flags, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

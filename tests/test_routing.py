@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from etopo.routing import Plan
 from util import (
     random_embedded,
     reference_oracle,
+    reference_plan_route,
     reference_route,
     reference_simple_paths,
 )
@@ -314,8 +316,12 @@ class TestAdaptedAdjacency:
         adapted = adapt(graph, net, ThresholdPolicy(default=0.0))
         with pytest.raises(NotFoundError):
             reference_route(graph, adapted, 0, 1)
-        with pytest.raises(NotFoundError):
+        with pytest.raises(NotFoundError) as expected:
+            reference_plan_route(graph, adapted, 0, 1)
+        with pytest.raises(NotFoundError) as got:
             route(graph, adapted, 0, 1)
+        assert str(got.value) == str(expected.value) == (
+            "node 5 is not mapped in the base-graph")
 
     def test_unmapped_neighbor(self):
         self.assert_unmapped_neighbor_raises(1)
@@ -323,3 +329,53 @@ class TestAdaptedAdjacency:
     @pytest.mark.parametrize("k", [2, 3])
     def test_unmapped_neighbor_in_higher_dimensions(self, k):
         self.assert_unmapped_neighbor_raises(k)
+
+
+def random_plan(rng, graph, adapted, target):
+    """A Plan along the oracle's path to target from a random node, with a
+    random half of its nodes walked; a lone target when none reaches it."""
+    start = rng.choice(sorted(graph.placement))
+    path = reference_oracle(graph, adapted, start, target).path
+    nodes = path.nodes if path is not None else (target,)
+    return plan_of(nodes, [v for v in nodes if rng.random() < 0.5])
+
+
+class TestPlanRouteReference:
+    """route reads a contact's cell first and the rest only of the contact it
+    keeps; outcomes, with and without a plan, are those of the walk that
+    read each contact whole."""
+
+    @staticmethod
+    def assert_matches(rng, graph, adapted, nodes, queries, seen):
+        for _ in range(queries):
+            source, target = rng.choice(nodes), rng.choice(nodes)
+            for plan in (None, random_plan(rng, graph, adapted, target)):
+                got = route(graph, adapted, source, target, plan=plan)
+                assert got == reference_plan_route(
+                    graph, adapted, source, target, plan=plan)
+                seen[got.status] += 1
+
+    @pytest.mark.parametrize("k, side", [(1, 40), (2, 8), (3, 4)])
+    def test_random_embedding(self, k, side):
+        rng = random.Random(k)
+        seen = Counter()
+        for _ in range(40):
+            _, graph, adapted = random_embedded(
+                rng, num_nodes=rng.randint(3, 20), num_links=rng.randint(2, 40),
+                k=k, n=side, threshold=rng.choice([0.0, 0.3, 0.6]))
+            self.assert_matches(rng, graph, adapted, sorted(graph.placement), 10, seen)
+        assert seen.keys() == set(RouteStatus)
+
+    def test_pruned_lattice(self):
+        # Every other link is weakened below the threshold, enough to cut
+        # some nodes off.
+        net, _ = kleinberg_lattice(32, 7)
+        weak = [dataclasses.replace(l, swap_success=0.5) if l.id % 2 == 0 else l
+                for l in net.links]
+        net = make_network(net.nodes, weak)
+        graph = map_overlay(net, k=2, n=32,
+                            placement={u: divmod(u, 32) for u in net.nodes})
+        adapted = adapt(graph, net, ThresholdPolicy(default=0.75))
+        seen = Counter()
+        self.assert_matches(random.Random(7), graph, adapted, sorted(net.nodes), 150, seen)
+        assert seen.keys() == set(RouteStatus)

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass
+from math import inf
+from operator import sub
 from typing import Optional, Sequence
 
 from etopo import (
@@ -190,6 +193,87 @@ def reference_simple_paths(graph, adapted, source, target):
 
     extend([source], [])
     return sorted(results)
+
+
+# -- earlier forms of the contact rows and the greedy walk --------------------
+#
+# map_overlay's rows made in link order, and route as it read each contact
+# whole. The package makes each row's triples together and reads a
+# contact's cell first; rows, walks and errors must be the same.
+
+
+def reference_contacts(network, placement):
+    """The rows map_overlay builds for network under placement, one link at a
+    time, each row then sorted."""
+    rows = defaultdict(list)
+    cell = placement.get
+    for link in network.links:
+        a, b, link_id = link.a, link.b, link.id
+        rows[a].append((b, link_id, cell(b)))
+        rows[b].append((a, link_id, cell(a)))
+    for row in rows.values():
+        row.sort()
+    return dict(zip(rows, map(tuple, rows.values())))
+
+
+def reference_plan_route(graph, adapted, source, target, *, plan=None) -> RoutingOutcome:
+    adjacency = adapted.adjacency_on(graph)
+    target_coord = graph.coord(target)
+    graph.coord(source)
+    if source == target:
+        return RoutingOutcome(RouteStatus.FOUND, Path((source,), ()), 0)
+
+    planar = graph.k == 2
+    if planar:
+        tx, ty = target_coord
+    if plan is not None:
+        position, walked = plan
+        # The furthest plan position among the visited nodes.
+        furthest = position.get(source, -1)
+    visited = {source}
+    stack = [source]
+    link_stack = []
+    steps = 0
+    while stack:
+        # Rows are sorted by (node, link), so keeping the first strictly
+        # closer unvisited contact breaks distance ties by lowest node, then
+        # link. A visited contact can never be kept, so visited is tested
+        # only for a contact that would be.
+        best_dist, best_lid = inf, None
+        try:
+            for nbr, lid, cell in adjacency.get(stack[-1], ()):
+                if planar:
+                    x, y = cell
+                    dist = abs(x - tx) + abs(y - ty)
+                else:
+                    dist = sum(map(abs, map(sub, cell, target_coord)))
+                if dist < best_dist and nbr not in visited:
+                    best_dist, best_nbr, best_lid = dist, nbr, lid
+        except TypeError:
+            # Only an unmapped neighbor's cell, None, fails to unpack.
+            raise NotFoundError(
+                f"node {nbr} is not mapped in the base-graph"
+            ) from None
+        steps += 1
+        if best_lid is None:
+            stack.pop()
+            if link_stack:
+                link_stack.pop()
+            continue
+        visited.add(best_nbr)
+        stack.append(best_nbr)
+        link_stack.append(best_lid)
+        if best_nbr == target:
+            return RoutingOutcome(
+                RouteStatus.FOUND, Path(tuple(stack), tuple(link_stack)), steps
+            )
+        if plan is not None:
+            at = position.get(best_nbr, -1)
+            if at > furthest:
+                furthest = at
+                if not walked.isdisjoint(stack):
+                    return RoutingOutcome(RouteStatus.BLOCKED, None, steps)
+    return RoutingOutcome(RouteStatus.UNREACHABLE, None, steps)
 
 
 # -- reference link checks, threshold rule and placement checks ---------------
