@@ -33,13 +33,8 @@ from .basegraph import (
     normalizing_term,
 )
 from .coloring import (
-    Coloring,
-    ColoringResult,
-    ColoringStatus,
     ConflictGraph,
     build_conflict_graph,
-    color_graph,
-    is_proper,
     make_conflict_graph,
     reduction_from_coloring,
 )

@@ -150,10 +150,12 @@ def _checked_placement(
     """placement restricted to nodes, with each coordinate as a tuple.
 
     Raises PlacementError for the first node, in the order of nodes, that is
-    missing, has a coordinate of dimension other than k or outside [0, n),
-    or shares its cell with an earlier node. A placement of integer
-    coordinates is checked in bulk, over all of them at once; the per-node
-    loop runs only when that check fails, to name the first fault.
+    missing, has a coordinate of dimension other than k or with an entry
+    that is not a plain int (a bool or a float such as 1.0 is no lattice
+    index) or outside [0, n), or shares its cell with an earlier node. A
+    placement of integer coordinates is checked in bulk, over all of them at
+    once; the per-node loop runs only when that check fails, to name the
+    first fault.
     """
     try:
         placed = dict(zip(nodes, map(tuple, map(placement.get, nodes))))
@@ -178,6 +180,10 @@ def _checked_placement(
         if len(coord) != k:
             raise PlacementError(
                 f"node {node}: coordinate {coord} has dimension {len(coord)}, expected {k}"
+            )
+        if any(type(c) is not int for c in coord):
+            raise PlacementError(
+                f"node {node}: coordinate {coord} has an entry that is not an integer"
             )
         if any(not 0 <= c < n for c in coord):
             raise PlacementError(f"node {node}: coordinate {coord} outside [0, {n})")

@@ -36,7 +36,6 @@ from .io import (
     _json_text,
     _load_json,
     _write_file,
-    base_graph_from_dict,
     load_conflict_graph,
     load_instance,
     load_network,
@@ -120,7 +119,10 @@ def _adapted_from_args(args):
     """The network of adapt and route, and its links adapted on the lattice of
     --k, --n, --placement and --seed (the set's graph) by the threshold flags."""
     network = load_network(args.network)
-    k, n, _, _ = base_graph_from_dict({"k": args.k, "n": args.n}, "base_graph")
+    k, n = args.k, args.n
+    for flag, value, minimum in (("--k", k, 1), ("--n", n, 2)):
+        if value < minimum:
+            raise ConfigError(f"{flag}: must be >= {minimum}, got {value}")
     placement = load_placement(args.placement) if args.placement else None
     try:
         graph = map_overlay(network, k, n, placement=placement,

@@ -1,4 +1,4 @@
-"""Conflict graphs, vertex coloring, and the coloring-to-assignment reduction.
+"""Conflict graphs and the coloring-to-assignment reduction.
 
 Interfering entangled states form a graph of conflicts; its k-coloring
 feasibility is equivalent to feasibility of a constructed assignment
@@ -8,8 +8,7 @@ instance, which is the executable direction of the hardness argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .adaption import ThresholdPolicy, adapt
 from .assignment import AssignmentInstance, Demand, InterferenceSet, ResourceSet
@@ -39,11 +38,6 @@ class ConflictGraph:
             if u not in self.vertices or v not in self.vertices:
                 raise ValueError(f"edge ({u}, {v}) references a missing vertex")
 
-    def neighbors(self, v: Vertex) -> frozenset[Vertex]:
-        return frozenset(
-            b if a == v else a for a, b in self.edges if v in (a, b)
-        )
-
 
 def make_conflict_graph(
     vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]],
@@ -67,87 +61,6 @@ def build_conflict_graph(instance: AssignmentInstance) -> ConflictGraph:
         for rival in rivals if qid < rival
     )
     return ConflictGraph(vertices, edges, k_star=len(vertices))
-
-
-class ColoringStatus(str, Enum):
-    COLORED = "colored"
-    INFEASIBLE = "infeasible"
-    UNKNOWN_INFEASIBLE = "unknown-infeasible"
-
-
-@dataclass(frozen=True)
-class Coloring:
-    color: Mapping[Vertex, int]
-
-
-@dataclass(frozen=True)
-class ColoringResult:
-    status: ColoringStatus
-    coloring: Optional[Coloring] = None
-
-
-def is_proper(graph: ConflictGraph, coloring: Coloring) -> bool:
-    if set(coloring.color) != set(graph.vertices):
-        return False
-    return all(coloring.color[u] != coloring.color[v] for u, v in graph.edges)
-
-
-EXACT_COLORING_CAP = 20
-
-
-def color_graph(graph: ConflictGraph, colors: int) -> ColoringResult:
-    """Proper coloring with at most `colors` colors.
-
-    Exact backtracking up to EXACT_COLORING_CAP vertices proves
-    infeasibility; beyond the cap a largest-degree-first greedy pass is
-    used and its failure is reported as unknown-infeasible.
-    """
-    if colors < 0:
-        raise ValueError("color count must be nonnegative")
-    # Every vertex's neighbours in one pass over the edges; the graph
-    # checked that each edge joins two distinct vertices of its own.
-    adjacency: dict[Vertex, set[Vertex]] = {v: set() for v in graph.vertices}
-    for u, v in graph.edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    vertices = sorted(graph.vertices, key=lambda v: (-len(adjacency[v]), v))
-    if not vertices:
-        return ColoringResult(ColoringStatus.COLORED, Coloring({}))
-    if colors == 0:
-        return ColoringResult(ColoringStatus.INFEASIBLE)
-
-    if len(vertices) <= EXACT_COLORING_CAP:
-        assigned: dict[Vertex, int] = {}
-
-        def backtrack(pos: int, used: int) -> bool:
-            if pos == len(vertices):
-                return True
-            v = vertices[pos]
-            blocked = {assigned[u] for u in adjacency[v] if u in assigned}
-            # New colors are interchangeable: trying one fresh color suffices.
-            for c in range(min(used + 1, colors)):
-                if c in blocked:
-                    continue
-                assigned[v] = c
-                if backtrack(pos + 1, max(used, c + 1)):
-                    return True
-                del assigned[v]
-            return False
-
-        if backtrack(0, 0):
-            return ColoringResult(ColoringStatus.COLORED, Coloring(dict(assigned)))
-        return ColoringResult(ColoringStatus.INFEASIBLE)
-
-    assigned = {}
-    for v in vertices:
-        blocked = {assigned[u] for u in adjacency[v] if u in assigned}
-        for c in range(colors):
-            if c not in blocked:
-                assigned[v] = c
-                break
-        else:
-            return ColoringResult(ColoringStatus.UNKNOWN_INFEASIBLE)
-    return ColoringResult(ColoringStatus.COLORED, Coloring(assigned))
 
 
 def reduction_from_coloring(graph: ConflictGraph, colors: int) -> AssignmentInstance:

@@ -199,8 +199,6 @@ class TestPlacementChecks:
         # several faults: the lowest faulty node is named
         ({5: None, 2: (0, 5), 4: (1,)}, "node 2: coordinate (0, 5) outside [0, 3)"),
         ({4: (0, 0)}, "nodes 0 and 4 collide at (0, 0)"),
-        ({3: (float("nan"), 0)}, "node 3: coordinate (nan, 0) outside [0, 3)"),
-        ({0: (True, 0)}, "nodes 0 and 1 collide at (1, 0)"),
     ])
     def test_fault_names_first_node(self, edit, message):
         placement = {**self.GOOD, **edit}
@@ -218,7 +216,7 @@ class TestPlacementChecks:
         assert 5 not in placement
 
     @pytest.mark.parametrize("edit", [
-        {}, {0: [2, 2]}, {0: (0.5, 2)}, {2: (2, 1), 5: (2, 0)}, {3: "x"}, {3: 7},
+        {}, {0: [2, 2]}, {2: (2, 1), 5: (2, 0)}, {3: "x"}, {3: 7},
     ])
     def test_matches_node_by_node_check(self, edit):
         placement = {**self.GOOD, **edit, 9: (2, 2)}  # extra entries are ignored
@@ -226,6 +224,24 @@ class TestPlacementChecks:
         got = _outcome(
             lambda: map_overlay(self.NET, k=2, n=3, placement=placement).placement)
         assert got == expected
+
+    # A coordinate entry must be a plain int on the per-node path too, as
+    # the bulk check and the file readers require; that fault is named
+    # before a range or collision fault of the same node.
+    @pytest.mark.parametrize("edit,node", [
+        ({0: (0.5, 2)}, 0),
+        ({3: (float("nan"), 0)}, 3),
+        ({0: (True, 0)}, 0),  # equal to node 1's cell (1, 0)
+        ({4: (1.0, 1)}, 4),  # equal to its own cell (1, 1)
+        ({4: (1.0, 0)}, 4),  # equal to node 1's cell (1, 0)
+        ({2: (1.5, 0), 4: (1,)}, 2),  # the lowest faulty node is named
+    ])
+    def test_non_integer_entry_rejected(self, edit, node):
+        placement = {**self.GOOD, **edit}
+        with pytest.raises(PlacementError) as info:
+            map_overlay(self.NET, k=2, n=3, placement=placement)
+        assert str(info.value) == (
+            f"node {node}: coordinate {placement[node]} has an entry that is not an integer")
 
 
 class TestNormalizingTerm:

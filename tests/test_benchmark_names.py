@@ -1,0 +1,100 @@
+"""The package names that the benchmark harness under perfbench/ uses.
+
+The harness changes apart from the package, so a package change that
+removes or renames a name it imports or patches would fail every benchmark
+run while the rest of the suite passes. The harness files are parsed, not
+imported: importing them would need their sibling modules on the path.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+FILES = ("workloads.py", "run.py")
+
+
+def _tree(name):
+    return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"), filename=name)
+
+
+def _dotted(node):
+    """'etopo.scenario' for the expression etopo.scenario, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "etopo":
+        return ".".join(["etopo", *reversed(parts)])
+    return None
+
+
+def _resolves(dotted):
+    """Whether a dotted name rooted at etopo names a module or an attribute
+    of one."""
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(module)
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            try:
+                importlib.import_module(f"{obj.__name__}.{attr}")
+            except ModuleNotFoundError:
+                return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def imported_names():
+    """(file, dotted name) for each name the harness imports from etopo."""
+    found = []
+    for name in FILES:
+        for node in ast.walk(_tree(name)):
+            if isinstance(node, ast.Import):
+                found += [(name, a.name) for a in node.names
+                          if a.name.split(".")[0] == "etopo"]
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "etopo"):
+                found += [(name, f"{node.module}.{a.name}") for a in node.names]
+    return found
+
+
+def referenced_names():
+    """(file, dotted name) for each etopo.<...> expression in the harness,
+    such as the module of a PATCHES pair or the attribute a workload swaps."""
+    found = set()
+    for name in FILES:
+        for node in ast.walk(_tree(name)):
+            dotted = _dotted(node) if isinstance(node, ast.Attribute) else None
+            if dotted is not None:
+                found.add((name, dotted))
+    return sorted(found)
+
+
+def patched_names():
+    """'module.attr' for each (module, "attr") pair of workloads.PATCHES."""
+    for node in _tree("workloads.py").body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["PATCHES"]):
+            return [f"{_dotted(module)}.{attr.value}" for module, attr in
+                    (pair.elts for pair in node.value.elts)]
+    raise AssertionError("perfbench/workloads.py assigns no PATCHES")
+
+
+def test_the_harness_uses_the_names_it_is_known_to_use():
+    # The parse finds something: empty lists would pass every test below.
+    assert ("workloads.py", "etopo.reduction_from_coloring") in imported_names()
+    assert ("run.py", "etopo") in imported_names()
+    assert ("workloads.py", "etopo.scenario.build_trial_instance") in referenced_names()
+    assert "etopo.scenario.build_trial_instance" in patched_names()
+
+
+def test_imported_names_exist():
+    assert [(where, d) for where, d in imported_names() if not _resolves(d)] == []
+
+
+def test_referenced_names_exist():
+    assert [(where, d) for where, d in referenced_names() if not _resolves(d)] == []
+
+
+def test_patched_names_exist():
+    assert [d for d in patched_names() if not _resolves(d)] == []

@@ -166,8 +166,8 @@ class TestRoute:
 
     @pytest.mark.parametrize("command", ["route", "adapt"])
     @pytest.mark.parametrize("flag, value, message", [
-        ("--k", "0", "base_graph.k: must be >= 1, got 0"),
-        ("--n", "1", "base_graph.n: must be >= 2, got 1"),
+        ("--k", "0", "--k: must be >= 1, got 0"),
+        ("--n", "1", "--n: must be >= 2, got 1"),
     ])
     def test_bad_shape_flag(self, line_file, capsys, command, flag, value, message):
         # was an internal error from map_overlay's ValueError

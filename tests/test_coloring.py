@@ -4,8 +4,6 @@ import random
 import pytest
 
 from etopo import (
-    ColoringStatus,
-    Coloring,
     Demand,
     EntangledLink,
     InterferenceSet,
@@ -13,17 +11,16 @@ from etopo import (
     ThresholdPolicy,
     adapt,
     build_conflict_graph,
-    color_graph,
-    is_proper,
     make_conflict_graph,
     make_network,
     map_overlay,
+    TooLargeError,
     reduction_from_coloring,
     solve_exact,
 )
+from etopo.assignment import BNB_VARIABLE_CAP
 from etopo.assignment import AssignmentInstance
-from etopo.coloring import EXACT_COLORING_CAP
-from util import brute_force_colorable, oracle_solve, reference_color_graph
+from util import brute_force_colorable, is_proper_coloring, oracle_solve
 
 
 def interference_instance(isets):
@@ -109,85 +106,6 @@ class TestMakeConflictGraph:
             make_conflict_graph([0, 1], [(0, 2)])
 
 
-class TestColorGraph:
-    def triangle(self):
-        return make_conflict_graph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
-
-    def test_triangle_needs_three_colors(self):
-        graph = self.triangle()
-        assert color_graph(graph, 2).status is ColoringStatus.INFEASIBLE
-        result = color_graph(graph, 3)
-        assert result.status is ColoringStatus.COLORED
-        assert is_proper(graph, result.coloring)
-
-    def test_odd_cycle_needs_three(self):
-        cycle = make_conflict_graph(range(5), [(i, (i + 1) % 5) for i in range(5)])
-        assert color_graph(cycle, 2).status is ColoringStatus.INFEASIBLE
-        result = color_graph(cycle, 3)
-        assert result.status is ColoringStatus.COLORED
-        assert is_proper(cycle, result.coloring)
-
-    def test_empty_graph(self):
-        graph = make_conflict_graph([], [])
-        assert color_graph(graph, 0).status is ColoringStatus.COLORED
-
-    def test_edgeless_needs_one_color(self):
-        graph = make_conflict_graph(range(4), [])
-        assert color_graph(graph, 0).status is ColoringStatus.INFEASIBLE
-        result = color_graph(graph, 1)
-        assert result.status is ColoringStatus.COLORED
-
-    def test_matches_brute_force_on_random_graphs(self):
-        rng = random.Random(19)
-        for _ in range(60):
-            n = rng.randint(1, 7)
-            pairs = list(itertools.combinations(range(n), 2))
-            edges = [e for e in pairs if rng.random() < 0.5]
-            graph = make_conflict_graph(range(n), edges)
-            for colors in range(0, 4):
-                expected = brute_force_colorable(range(n), edges, colors)
-                result = color_graph(graph, colors)
-                assert (result.status is ColoringStatus.COLORED) == expected
-                if expected:
-                    assert is_proper(graph, result.coloring)
-
-    def test_greedy_mode_beyond_cap(self):
-        # 25 isolated vertices exceed the exact cap but color trivially
-        graph = make_conflict_graph(range(25), [])
-        result = color_graph(graph, 1)
-        assert result.status is ColoringStatus.COLORED
-        # a 25-clique defeats the greedy pass with too few colors
-        clique = make_conflict_graph(
-            range(25), itertools.combinations(range(25), 2)
-        )
-        assert color_graph(clique, 3).status is ColoringStatus.UNKNOWN_INFEASIBLE
-
-
-    # Vertex counts on both sides of the exact cap, ids spread out so a
-    # vertex's rank is not its id, edge densities from empty to complete.
-    @pytest.mark.parametrize("n", [0, 1, 5, EXACT_COLORING_CAP, EXACT_COLORING_CAP + 1, 60])
-    @pytest.mark.parametrize("density", [0.0, 0.15, 0.5, 1.0])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_reference(self, n, density, seed):
-        rng = random.Random(seed * 1000 + n)
-        vertices = rng.sample(range(10 * n + 1), n)
-        edges = [e for e in itertools.combinations(vertices, 2) if rng.random() < density]
-        graph = make_conflict_graph(vertices, edges)
-        for colors in range(0, 6):
-            assert color_graph(graph, colors) == reference_color_graph(graph, colors)
-
-
-class TestIsProper:
-    def test_missing_vertex(self):
-        graph = make_conflict_graph([0, 1], [(0, 1)])
-        assert not is_proper(graph, Coloring({0: 0}))
-
-    def test_conflicting_colors(self):
-        graph = make_conflict_graph([0, 1], [(0, 1)])
-        assert not is_proper(graph, Coloring({0: 0, 1: 0}))
-        assert is_proper(graph, Coloring({0: 0, 1: 1}))
-
-
 class TestReduction:
     def test_triangle_equivalence(self):
         graph = make_conflict_graph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
@@ -199,7 +117,7 @@ class TestReduction:
         result = solve_exact(reduction_from_coloring(graph, 2))
         assert result.feasible
         color = {user: state for user, _, state in result.solution.C}
-        assert is_proper(graph, Coloring(color))
+        assert is_proper_coloring(graph, color)
 
     def test_random_equivalence(self):
         rng = random.Random(29)
@@ -218,3 +136,75 @@ class TestReduction:
                 if feasible:
                     assert result.objective == cost
                     assert result.solution.C == best_C
+
+
+def colorable(graph, colors):
+    """Whether graph is colors-colorable, decided through the reduction:
+    the way to answer the question without a coloring solver."""
+    result = solve_exact(reduction_from_coloring(graph, colors))
+    if result.feasible:
+        color = {user: state for user, _, state in result.solution.C}
+        vertex = dict(enumerate(sorted(graph.vertices)))
+        assert is_proper_coloring(graph, {vertex[q]: c for q, c in color.items()})
+        assert set(color.values()) <= set(range(colors))
+    return result.feasible
+
+
+class TestColorability:
+    def triangle(self):
+        return make_conflict_graph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+
+    def test_triangle_needs_three_colors(self):
+        graph = self.triangle()
+        assert not colorable(graph, 2)
+        assert colorable(graph, 3)
+
+    def test_odd_cycle_needs_three(self):
+        cycle = make_conflict_graph(range(5), [(i, (i + 1) % 5) for i in range(5)])
+        assert not colorable(cycle, 2)
+        assert colorable(cycle, 3)
+
+    def test_empty_graph(self):
+        graph = make_conflict_graph([], [])
+        assert colorable(graph, 1)
+        with pytest.raises(ValueError):
+            reduction_from_coloring(graph, 0)
+
+    def test_edgeless_needs_one_color(self):
+        graph = make_conflict_graph(range(4), [])
+        with pytest.raises(ValueError):
+            reduction_from_coloring(graph, 0)
+        assert colorable(graph, 1)
+
+    def test_matches_brute_force_on_random_graphs(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            pairs = list(itertools.combinations(range(n), 2))
+            edges = [e for e in pairs if rng.random() < 0.5]
+            graph = make_conflict_graph(range(n), edges)
+            for colors in range(1, 4):
+                assert colorable(graph, colors) == brute_force_colorable(range(n), edges, colors)
+
+    def test_too_large_beyond_cap(self):
+        # one binary variable per (vertex, color): 25 vertices with 2 colors
+        # exceed the exact solver's cap, however easy the graph
+        graph = make_conflict_graph(range(25), [])
+        instance = reduction_from_coloring(graph, 2)
+        assert instance.n_variables() == 50 > BNB_VARIABLE_CAP
+        with pytest.raises(TooLargeError):
+            solve_exact(instance)
+
+    # Vertex counts up to the largest that fits the exact cap with 5
+    # colors, ids spread out so a vertex's rank is not its id, edge
+    # densities from empty to complete.
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 7, BNB_VARIABLE_CAP // 5])
+    @pytest.mark.parametrize("density", [0.0, 0.15, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_brute_force(self, n, density, seed):
+        rng = random.Random(seed * 1000 + n)
+        vertices = rng.sample(range(10 * n + 1), n)
+        edges = [e for e in itertools.combinations(vertices, 2) if rng.random() < density]
+        graph = make_conflict_graph(vertices, edges)
+        for colors in range(1, 6):
+            assert colorable(graph, colors) == brute_force_colorable(vertices, edges, colors)

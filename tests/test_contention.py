@@ -21,12 +21,11 @@ from etopo import (
     reduction_from_coloring,
 )
 from util import (
-    greedy_scenario_payload,
+    builder_pool,
     random_instance,
     reference_build_conflict_graph,
     reference_check_interference,
     reference_rivals,
-    trial_instances,
 )
 
 
@@ -49,32 +48,6 @@ def random_graph(rng, max_vertices=7):
 def reduction_pool(count=40, seed=43):
     rng = random.Random(seed)
     return [reduction_from_coloring(random_graph(rng), rng.randint(1, 3)) for _ in range(count)]
-
-
-def small_scenario_payload(rng):
-    """A generated scenario of a few nodes and demands, so routes cross."""
-    nodes = rng.randint(5, 10)
-    demands = []
-    for user in range(rng.randint(2, 5)):
-        source, target = rng.sample(range(nodes), 2)
-        demands.append({"user": user, "source": source, "target": target,
-                        "rate": rng.randint(1, 8) / 4})
-    return {
-        "seed": rng.randrange(2**16),
-        "trials": 2,
-        "generator": {"num_nodes": nodes, "num_links": rng.randint(nodes, 2 * nodes),
-                      "levels": [1, 2], "resource_range": [1, 3]},
-        "base_graph": {"k": 2, "n": 5},
-        "demands": demands,
-    }
-
-
-def builder_pool(count=30, seed=47):
-    rng = random.Random(seed)
-    pool = trial_instances(greedy_scenario_payload())
-    for _ in range(count):
-        pool.extend(trial_instances(small_scenario_payload(rng)))
-    return pool
 
 
 POOLS = {"random": random_pool, "reduction": reduction_pool, "builder": builder_pool}

@@ -22,9 +22,10 @@ Last, whole files that JSON cannot decode (bytes that are not text in
 any encoding it detects, too deep a nesting, an integer literal longer
 than the int-string limit) must exit 1 with an error that names the file.
 
-So must a fault in a command-line flag found past the readers, such as a
-lattice too small for the network or a source node it lacks: the error
-names the flag, and the file that a flag names when that file is at fault.
+So must a fault in a command-line flag, such as a lattice dimension or
+side below its minimum, a lattice too small for the network or a source
+node it lacks: the error names the flag, and the file that a flag names
+when that file is at fault.
 """
 
 import codecs
@@ -324,6 +325,10 @@ FLAG_FAULTS = [
      "--placement {placement}: placement missing node 1"),
     ("placement-misses-a-node", "route", ["--placement", "{placement}"],
      "--placement {placement}: placement missing node 1"),
+    ("k-below-one", "adapt", ["--k", "0"], "--k: must be >= 1, got 0"),
+    ("k-below-one", "route", ["--k", "0"], "--k: must be >= 1, got 0"),
+    ("n-below-two", "adapt", ["--n", "1"], "--n: must be >= 2, got 1"),
+    ("n-below-two", "route", ["--n", "1"], "--n: must be >= 2, got 1"),
     ("lattice-too-small", "adapt", ["--k", "1", "--n", "4"],
      "--k 1 --n 4: lattice with 4 cells cannot hold 30 nodes"),
     ("lattice-too-small", "route", ["--k", "1", "--n", "4"],

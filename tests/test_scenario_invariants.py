@@ -1,0 +1,158 @@
+"""Invariants of the trials that run_scenario builds and solves.
+
+The solver checks elsewhere run on random_instance pools; these run on the
+instances that build_trial_instance makes, over greedy_scenario_payload()
+and small random scenarios: some with a failure of each kind and a second
+removal of an already removed link, some with links that a few demands
+fill. At or below the exact cap a trial must match the brute-force oracle;
+every feasible result, exact or greedy, must meet the capacity and
+interference constraints; each served user's states must lead from its
+source to its target; served and rejected must split the demands; and a
+scenario must give the same output bytes when run again, and after a round
+trip through its dict form.
+
+Not checked here: that no resource state is held by two users. The exact
+solver can share a state of a link that no two greedy routes crossed,
+because build_trial_instance declares contention only there.
+"""
+
+import json
+import math
+import random
+
+import pytest
+
+from etopo import (
+    check_capacity,
+    check_interference,
+    flow_imbalance,
+    run_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+    solve_exact,
+)
+from etopo.assignment import BNB_VARIABLE_CAP
+from etopo.io import _json_text
+from etopo.scenario import records_to_csv, records_to_solutions
+from util import (
+    greedy_scenario_payload,
+    oracle_solve,
+    scenario_trials,
+    small_scenario_payload,
+)
+
+FAILURE_KINDS = ("remove-link", "degrade-swap", "degrade-loss", "degrade-fidelity")
+
+
+def with_failures(payload, rng):
+    """payload with one failure of each kind on its generated links, and the
+    first removal's link removed once more a tick later."""
+    links = payload["generator"]["num_links"]
+    failures = [
+        {"target": rng.randrange(links), "kind": kind,
+         "magnitude": rng.randint(1, 3) / 4, "time": rng.randrange(2)}
+        for kind in FAILURE_KINDS
+    ]
+    failures.append({**failures[0], "time": failures[0]["time"] + 1})
+    return {**payload, "failures": failures}
+
+
+def with_tight_links(payload):
+    """payload with link throughputs of 1 to 2, so that a few demands' rates
+    fill a link."""
+    return {**payload, "generator": {**payload["generator"], "throughput_range": [1, 2]}}
+
+
+def payloads(count=60, seed=59):
+    """greedy_scenario_payload() and count small scenarios: a third as
+    drawn, a third with failures, a third with tight links."""
+    rng = random.Random(seed)
+    variants = (lambda p: p, lambda p: with_failures(p, rng), with_tight_links)
+    return [greedy_scenario_payload()] + [
+        variants[i % 3](small_scenario_payload(rng)) for i in range(count)
+    ]
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """(payload, records, [(instance, routable) per trial]) per scenario."""
+    return [(payload, *scenario_trials(payload)) for payload in payloads()]
+
+
+def solved_trials(runs):
+    """(record, instance, routable) for each trial that had a routable demand."""
+    for _, records, built in runs:
+        for record, (instance, routable) in zip(records, built):
+            if instance.demands:
+                yield record, instance, routable
+
+
+def test_exact_trials_match_the_oracle(runs):
+    feasible = infeasible = 0
+    for record, instance, _ in solved_trials(runs):
+        if instance.n_variables() > BNB_VARIABLE_CAP:
+            continue
+        result = solve_exact(instance)
+        assert record.result == result
+        ok, cost, best_C = oracle_solve(instance)
+        assert result.feasible == ok
+        if ok:
+            # Generated p* values are not dyadic: the two sums may differ
+            # in the last place.
+            assert math.isclose(result.objective, cost)
+            assert result.solution.C == best_C
+        feasible += ok
+        infeasible += not ok
+    assert feasible >= 10 and infeasible >= 2
+
+
+def test_feasible_results_meet_the_constraints(runs):
+    exact = greedy = 0
+    for record, instance, _ in solved_trials(runs):
+        if not record.result.feasible:
+            continue
+        assert check_capacity(instance, record.result.solution) == []
+        assert check_interference(instance, record.result.solution) == []
+        below_cap = instance.n_variables() <= BNB_VARIABLE_CAP
+        exact += below_cap
+        greedy += not below_cap
+    assert exact and greedy
+
+
+def test_served_users_flow_from_source_to_target(runs):
+    # Only the two ends are asked: each call checks every reference of C.
+    served = 0
+    for record, instance, _ in solved_trials(runs):
+        solution = record.result.solution
+        for qid in record.result.served:
+            demand = instance.demands[qid]
+            assert flow_imbalance(instance, solution, demand.source, demand.user) == 1
+            assert flow_imbalance(instance, solution, demand.target, demand.user) == -1
+            served += 1
+    assert served
+
+
+def test_served_and_rejected_split_the_demands(runs):
+    for payload, records, built in runs:
+        assert len(records) == len(built) == payload["trials"]
+        demands = range(len(payload["demands"]))
+        for record, (_, routable) in zip(records, built):
+            assert not set(record.served) & set(record.rejected)
+            assert sorted(record.served + record.rejected) == list(demands)
+            assert set(record.served) <= set(routable)
+            assert [qid for qid, _ in record.routing] == list(demands)
+
+
+def run_outputs(payload):
+    """The metrics.csv and solutions.json text `etopo run` writes for payload."""
+    scenario = scenario_from_dict(payload)
+    records = run_scenario(scenario)
+    return records_to_csv(records), _json_text(records_to_solutions(scenario, records))
+
+
+def test_outputs_are_deterministic():
+    for payload in payloads():
+        first = run_outputs(payload)
+        assert run_outputs(payload) == first
+        round_trip = json.loads(json.dumps(scenario_to_dict(scenario_from_dict(payload))))
+        assert run_outputs(round_trip) == first

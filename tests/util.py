@@ -20,9 +20,6 @@ from typing import Optional, Sequence
 from etopo import (
     AssignmentInstance,
     AssignmentSolution,
-    Coloring,
-    ColoringResult,
-    ColoringStatus,
     ConfigError,
     ConflictGraph,
     Demand,
@@ -61,7 +58,7 @@ from etopo.assignment import (
     StateId,
     UserId,
 )
-from etopo.coloring import EXACT_COLORING_CAP, Edge, Vertex
+from etopo.coloring import Edge, Vertex
 from etopo.errors import Violation
 
 DENOM = 64
@@ -674,52 +671,10 @@ def brute_force_colorable(vertices, edges, colors: int) -> bool:
     return False
 
 
-# color_graph as it was before it built its adjacency in one pass over the
-# edges: each vertex's neighbours come from ConflictGraph.neighbors, a scan
-# of every edge, twice per vertex. color_graph must return the same result.
-
-
-def reference_color_graph(graph: ConflictGraph, colors: int) -> ColoringResult:
-    if colors < 0:
-        raise ValueError("color count must be nonnegative")
-    vertices = sorted(graph.vertices, key=lambda v: (-len(graph.neighbors(v)), v))
-    if not vertices:
-        return ColoringResult(ColoringStatus.COLORED, Coloring({}))
-    if colors == 0:
-        return ColoringResult(ColoringStatus.INFEASIBLE)
-    adjacency = {v: graph.neighbors(v) for v in vertices}
-
-    if len(vertices) <= EXACT_COLORING_CAP:
-        assigned: dict[int, int] = {}
-
-        def backtrack(pos: int, used: int) -> bool:
-            if pos == len(vertices):
-                return True
-            v = vertices[pos]
-            blocked = {assigned[u] for u in adjacency[v] if u in assigned}
-            for c in range(min(used + 1, colors)):
-                if c in blocked:
-                    continue
-                assigned[v] = c
-                if backtrack(pos + 1, max(used, c + 1)):
-                    return True
-                del assigned[v]
-            return False
-
-        if backtrack(0, 0):
-            return ColoringResult(ColoringStatus.COLORED, Coloring(dict(assigned)))
-        return ColoringResult(ColoringStatus.INFEASIBLE)
-
-    assigned = {}
-    for v in vertices:
-        blocked = {assigned[u] for u in adjacency[v] if u in assigned}
-        for c in range(colors):
-            if c not in blocked:
-                assigned[v] = c
-                break
-        else:
-            return ColoringResult(ColoringStatus.UNKNOWN_INFEASIBLE)
-    return ColoringResult(ColoringStatus.COLORED, Coloring(assigned))
+def is_proper_coloring(graph: ConflictGraph, color: dict[int, int]) -> bool:
+    """Whether color, a {vertex: color} dict, colors every vertex of the
+    graph and gives the two ends of each edge different colors."""
+    return set(color) == graph.vertices and all(color[u] != color[v] for u, v in graph.edges)
 
 
 # The three readings of interference as they were before the instance
@@ -892,9 +847,10 @@ def greedy_scenario_payload() -> dict:
     }
 
 
-def trial_instances(payload: dict) -> list[AssignmentInstance]:
-    """The assignment instance of each trial that run_scenario builds from
-    an `etopo run` scenario payload, in trial order."""
+def scenario_trials(payload: dict):
+    """Run an `etopo run` scenario payload. Returns its records and, in
+    trial order, the (instance, routable) pair that build_trial_instance
+    returned for each trial."""
     import etopo.scenario
 
     build = etopo.scenario.build_trial_instance
@@ -902,15 +858,49 @@ def trial_instances(payload: dict) -> list[AssignmentInstance]:
 
     def keep(*args, **kwargs):
         result = build(*args, **kwargs)
-        built.append(result[0])
+        built.append(result)
         return result
 
     etopo.scenario.build_trial_instance = keep
     try:
-        run_scenario(scenario_from_dict(payload))
+        records = run_scenario(scenario_from_dict(payload))
     finally:
         etopo.scenario.build_trial_instance = build
-    return built
+    return records, built
+
+
+def trial_instances(payload: dict) -> list[AssignmentInstance]:
+    """The assignment instance of each trial that run_scenario builds from
+    an `etopo run` scenario payload, in trial order."""
+    return [instance for instance, _ in scenario_trials(payload)[1]]
+
+
+def small_scenario_payload(rng: random.Random) -> dict:
+    """A generated scenario of a few nodes and demands, so routes cross."""
+    nodes = rng.randint(5, 10)
+    demands = []
+    for user in range(rng.randint(2, 5)):
+        source, target = rng.sample(range(nodes), 2)
+        demands.append({"user": user, "source": source, "target": target,
+                        "rate": rng.randint(1, 8) / 4})
+    return {
+        "seed": rng.randrange(2**16),
+        "trials": 2,
+        "generator": {"num_nodes": nodes, "num_links": rng.randint(nodes, 2 * nodes),
+                      "levels": [1, 2], "resource_range": [1, 3]},
+        "base_graph": {"k": 2, "n": 5},
+        "demands": demands,
+    }
+
+
+def builder_pool(count=30, seed=47) -> list[AssignmentInstance]:
+    """The trial instances of greedy_scenario_payload() and of count small
+    random scenarios."""
+    rng = random.Random(seed)
+    pool = trial_instances(greedy_scenario_payload())
+    for _ in range(count):
+        pool.extend(trial_instances(small_scenario_payload(rng)))
+    return pool
 
 
 # -- reference greedy solver --------------------------------------------------
