@@ -5,7 +5,6 @@ from .adaption import (
     PStarMode,
     ThresholdPolicy,
     adapt,
-    adapt_and_route,
     updated_probability,
 )
 from .assignment import (
@@ -57,7 +56,6 @@ from .overlay import (
     FailureEvent,
     FailureKind,
     OverlayNetwork,
-    apply_failure,
     apply_failures,
     hop_distance,
     link_existence_probability,

@@ -157,13 +157,3 @@ def adapt(
         adjacency=_retained_adjacency(graph, retained),
     )
 
-
-def adapt_and_route(
-    graph: BaseGraph, network: OverlayNetwork, policy: ThresholdPolicy,
-    source: NodeId, target: NodeId,
-):
-    """Run the threshold filter, then route over the adapted set."""
-    from .routing import route
-
-    adapted = adapt(graph, network, policy)
-    return route(graph, adapted, source, target)

@@ -229,10 +229,13 @@ def _cmd_bench_routing(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise ConfigError(
-            f"--sizes must be comma-separated integers, got {args.sizes!r}"
+            f"--sizes: expected comma-separated integers, got {args.sizes!r}"
         ) from None
+    for n in sizes:  # every size, before any lattice is built
+        if n < 2:
+            raise ConfigError(f"--sizes: lattice side must be >= 2, got {n}")
     if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+        raise ConfigError(f"--trials: must be >= 1, got {args.trials}")
     rows = [dataclasses.asdict(r) | {"normalized": r.normalized}
             for r in bench_routing(sizes, args.trials, _effective_seed(args.seed))]
     if args.format == "json":

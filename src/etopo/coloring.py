@@ -8,7 +8,7 @@ instance, which is the executable direction of the hardness argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .adaption import ThresholdPolicy, adapt
 from .assignment import AssignmentInstance, Demand, InterferenceSet, ResourceSet
@@ -25,11 +25,11 @@ def _normalize_edge(u: Vertex, v: Vertex) -> Edge:
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Graph of conflicting entangled states; k_star colors are required."""
+    """Graph of conflicting entangled states; adjacent vertices must not
+    share a state."""
 
     vertices: frozenset[Vertex]
     edges: frozenset[Edge]
-    k_star: int
 
     def __post_init__(self) -> None:
         for u, v in self.edges:
@@ -41,26 +41,23 @@ class ConflictGraph:
 
 def make_conflict_graph(
     vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]],
-    k_star: Optional[int] = None,
 ) -> ConflictGraph:
-    vs = frozenset(vertices)
     es = frozenset(_normalize_edge(u, v) for u, v in edges)
-    return ConflictGraph(vs, es, k_star if k_star is not None else len(vs))
+    return ConflictGraph(frozenset(vertices), es)
 
 
 def build_conflict_graph(instance: AssignmentInstance) -> ConflictGraph:
     """Conflict graph of an instance's interfering entangled states.
 
     Each demand with a rival contributes one vertex (its held entangled
-    state), and an edge joins it to each of its rivals. k_star is the
-    vertex count, not the number of distinct interfering states.
+    state), and an edge joins it to each of its rivals.
     """
     vertices = frozenset(qid for qid, _ in instance.rivals)
     edges = frozenset(
         (qid, rival) for (qid, _), rivals in instance.rivals.items()
         for rival in rivals if qid < rival
     )
-    return ConflictGraph(vertices, edges, k_star=len(vertices))
+    return ConflictGraph(vertices, edges)
 
 
 def reduction_from_coloring(graph: ConflictGraph, colors: int) -> AssignmentInstance:

@@ -500,7 +500,7 @@ def save_solve_result(result: SolveResult, path: PathLike) -> None:
 # -- conflict graphs ----------------------------------------------------------
 
 def conflict_graph_from_dict(data: Mapping[str, Any]) -> ConflictGraph:
-    _require(data, {"vertices", "edges"}, "graph", optional={"k_star"})
+    _require(data, {"vertices", "edges"}, "graph")
     vertices: set[int] = set()
     for i, vertex in enumerate(_integer_list(data["vertices"], "graph", "vertices")):
         vertices.add(vertex)
@@ -510,8 +510,6 @@ def conflict_graph_from_dict(data: Mapping[str, Any]) -> ConflictGraph:
         return make_conflict_graph(
             vertices,
             _integer_pairs(data["edges"], "graph", "edges"),
-            k_star=(_integer(data["k_star"], "graph", "k_star", minimum=0)
-                    if "k_star" in data else None),
         )
     except ValueError as exc:
         raise ConfigError(f"graph: {exc}") from exc

@@ -232,42 +232,38 @@ def validate(network: OverlayNetwork, context: str = "network") -> list[Violatio
     return violations
 
 
-def apply_failure(network: OverlayNetwork, event: FailureEvent) -> OverlayNetwork:
-    """Apply one failure event, returning the resulting network."""
-    link = network.link_by_id(event.target)
-    if event.kind is FailureKind.REMOVE_LINK:
-        return replace(network, links=tuple(l for l in network.links if l.id != event.target))
-    keep = 1.0 - event.magnitude
-    if event.kind is FailureKind.DEGRADE_SWAP:
-        updated = replace(link, swap_success=link.swap_success * keep)
-    elif event.kind is FailureKind.DEGRADE_FIDELITY:
-        updated = replace(link, fidelity=link.fidelity * keep)
-    elif event.kind is FailureKind.DEGRADE_LOSS:
-        # Degrading the channel scales the survival probability (1 - loss).
-        updated = replace(link, photon_loss=1.0 - (1.0 - link.photon_loss) * keep)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown failure kind {event.kind}")
-    return replace(
-        network,
-        links=tuple(updated if l.id == event.target else l for l in network.links),
-    )
-
-
 def apply_failures(
     network: OverlayNetwork,
     events: Iterable[FailureEvent],
     until: Optional[int] = None,
 ) -> OverlayNetwork:
-    """Apply every event with time <= until (all events when until is None).
+    """Apply every event with time <= until (all events when until is None),
+    in (time, target, kind) order, returning the resulting network.
 
-    Events whose target has already been removed are skipped rather than
-    raised: a schedule may remove a link and later degrade it.
+    An event whose target is absent is skipped: a link the network never
+    had, or one that an earlier event removed. A degraded link keeps its
+    place in link order. Link ids are taken to be unique, as validate
+    requires.
     """
+    links = {link.id: link for link in network.links}
     for event in sorted(events, key=lambda e: (e.time, e.target, e.kind.value)):
         if until is not None and event.time > until:
+            break
+        link = links.get(event.target)
+        if link is None:
             continue
-        try:
-            network = apply_failure(network, event)
-        except NotFoundError:
+        if event.kind is FailureKind.REMOVE_LINK:
+            del links[event.target]
             continue
-    return network
+        keep = 1.0 - event.magnitude
+        if event.kind is FailureKind.DEGRADE_SWAP:
+            link = replace(link, swap_success=link.swap_success * keep)
+        elif event.kind is FailureKind.DEGRADE_FIDELITY:
+            link = replace(link, fidelity=link.fidelity * keep)
+        elif event.kind is FailureKind.DEGRADE_LOSS:
+            # Degrading the channel scales the survival probability (1 - loss).
+            link = replace(link, photon_loss=1.0 - (1.0 - link.photon_loss) * keep)
+        else:  # pragma: no cover - enum is exhaustive
+            raise ValueError(f"unknown failure kind {event.kind}")
+        links[event.target] = link
+    return replace(network, links=tuple(links.values()))

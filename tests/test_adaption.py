@@ -9,13 +9,13 @@ from etopo import (
     RouteStatus,
     ThresholdPolicy,
     adapt,
-    adapt_and_route,
     link_existence_probability,
     make_network,
     map_overlay,
+    route,
     updated_probability,
 )
-from util import random_overlay, reference_link_update
+from util import random_overlay, reference_link_update, reference_route
 
 
 def three_link_setup():
@@ -234,20 +234,20 @@ class TestThresholdRule:
 
 class TestAdaptAndRoute:
     def test_zero_threshold_matches_plain_routing(self):
-        from etopo import route
-
         net, graph = three_link_setup()
         adapted = adapt(graph, net, ThresholdPolicy(default=0.0))
-        direct = route(graph, adapted, 0, 3)
-        combined = adapt_and_route(graph, net, ThresholdPolicy(default=0.0), 0, 3)
-        assert combined == direct
+        direct = reference_route(graph, adapted, 0, 3)
+        combined = route(graph, adapted, 0, 3)
+        assert combined == direct and combined.path.links == (0, 1, 2)
 
     def test_removed_bridge_is_unreachable(self):
         net, graph = three_link_setup()
-        outcome = adapt_and_route(graph, net, ThresholdPolicy(default=0.9), 0, 2)
+        adapted = adapt(graph, net, ThresholdPolicy(default=0.9))
+        outcome = route(graph, adapted, 0, 2)
         assert outcome.status is RouteStatus.UNREACHABLE
 
     def test_source_equals_target(self):
         net, graph = three_link_setup()
-        outcome = adapt_and_route(graph, net, ThresholdPolicy(default=0.9), 1, 1)
+        adapted = adapt(graph, net, ThresholdPolicy(default=0.9))
+        outcome = route(graph, adapted, 1, 1)
         assert outcome.found and outcome.diameter == 0 and outcome.path.links == ()

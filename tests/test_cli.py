@@ -588,9 +588,9 @@ class TestReduceColoring:
          "graph.edges: expected a list of integer pairs"),
         ({"vertices": [0, 1], "edges": 5}, 2, "graph.edges: expected a list of integer pairs"),
         ({"vertices": [0, 1], "edges": [[0, 1]]}, 0, "--colors: "),
-        # was accepted
-        ({"vertices": [0, 1], "edges": [], "k_star": "x"}, 2,
-         "graph.k_star: expected an integer"),
+        # was accepted and ignored
+        ({"vertices": [0, 1], "edges": [], "k_star": 2}, 2,
+         "graph: unknown fields ['k_star']"),
     ], ids=repr)
     def test_bad_input_is_a_config_error(self, tmp_path, capsys, graph, colors, message):
         path = tmp_path / "graph.json"

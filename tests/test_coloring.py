@@ -48,7 +48,6 @@ class TestBuildConflictGraph:
         graph = build_conflict_graph(inst)
         assert graph.vertices == frozenset()
         assert graph.edges == frozenset()
-        assert graph.k_star == 0
 
     def test_single_pair(self):
         inst = interference_instance(
@@ -57,7 +56,6 @@ class TestBuildConflictGraph:
         graph = build_conflict_graph(inst)
         assert graph.vertices == {0, 1}
         assert graph.edges == {(0, 1)}
-        assert graph.k_star == 2
 
     def test_three_way_set_is_a_triangle(self):
         inst = interference_instance(
@@ -65,7 +63,6 @@ class TestBuildConflictGraph:
         )
         graph = build_conflict_graph(inst)
         assert graph.edges == {(0, 1), (0, 2), (1, 2)}
-        assert graph.k_star == 3
 
     def test_overlapping_sets_merge(self):
         inst = interference_instance([

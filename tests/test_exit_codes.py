@@ -34,6 +34,7 @@ import json
 
 import pytest
 
+import etopo.scenario
 from etopo.cli import EXIT_CONFIG, EXIT_INTERNAL, main
 
 MUTANTS = (None, True, "x", 1.5, -1, [], {})
@@ -84,7 +85,7 @@ FILES = {
         "resource_sets": [{"link": 0, "states": [0, 1]}, {"link": 1, "states": [0]}],
         "interference": [{"link": 0, "state": 0, "competing": [[0, 0], [1, 1]]}],
     },
-    "graph": {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]], "k_star": 2},
+    "graph": {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]]},
 }
 
 
@@ -217,7 +218,6 @@ CROSS_RECORD = [
     ("network", ("nodes",), [0, 1, 2, 1], "network.nodes[3]"),
     ("scenario-inline", ("network", "nodes"), [0, 0, 1, 2], "scenario.network.nodes[1]"),
     ("graph", ("vertices",), [0, 1, 1, 2], "graph.vertices[2]"),
-    ("graph", ("k_star",), -3, "graph.k_star"),
     ("instance", ("thresholds", "levels", "1"), 0.9, "instance.resource_sets[0].link"),
     ("instance", ("demands", 0, "target"), 0, "instance.demands[0]"),
     ("scenario-inline", ("demands", 0, "target"), 0, "scenario.demands[0]"),
@@ -370,3 +370,22 @@ def test_generate_flag_fault_names_the_flag(flags, message, tmp_path, capsys):
     assert main(["generate", *flags, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--sizes", "1"], "--sizes: lattice side must be >= 2, got 1"),
+    (["--sizes", "8,16,0"], "--sizes: lattice side must be >= 2, got 0"),
+    (["--sizes", "x"], "--sizes: expected comma-separated integers, got 'x'"),
+    (["--sizes", "8,"], "--sizes: expected comma-separated integers, got '8,'"),
+    (["--trials", "0"], "--trials: must be >= 1, got 0"),
+], ids=["side", "late-side", "not-integer", "empty-entry", "trials"])
+def test_bench_routing_flag_fault_names_the_flag(flags, message, monkeypatch, capsys):
+    def no_lattice(*args):
+        raise AssertionError("a lattice was built before the flags were checked")
+
+    monkeypatch.setattr(etopo.scenario, "kleinberg_lattice", no_lattice)
+    argv = ["bench-routing", "--sizes", "8", "--trials", "3", "--seed", "1", *flags]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

@@ -262,14 +262,13 @@ class TestConflictGraphParsing:
         graph = conflict_graph_from_dict(
             {"vertices": [0, 1, 2], "edges": [[0, 1], [2, 1]]}
         )
+        assert graph.vertices == {0, 1, 2}
         assert graph.edges == {(0, 1), (1, 2)}
-        assert graph.k_star == 3
 
     def test_explicit_k_star(self):
-        graph = conflict_graph_from_dict(
-            {"vertices": [0, 1], "edges": [], "k_star": 5}
-        )
-        assert graph.k_star == 5
+        # A graph file has no k_star field.
+        with pytest.raises(ConfigError, match=r"^graph: unknown fields \['k_star'\]$"):
+            conflict_graph_from_dict({"vertices": [0, 1], "edges": [], "k_star": 5})
 
     def test_dangling_edge(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -11,13 +12,13 @@ from etopo import (
     FailureKind,
     InvalidLevelError,
     NotFoundError,
-    apply_failure,
+    apply_failures,
     hop_distance,
     link_existence_probability,
     make_network,
     validate,
 )
-from util import ReferenceLink
+from util import ReferenceLink, dyadic, random_overlay, reference_apply_failures
 
 
 def make_link(**kwargs):
@@ -211,11 +212,11 @@ class TestValidate:
 class TestApplyFailure:
     def test_zero_magnitude_is_identity(self, small_network):
         event = FailureEvent(target=0, kind=FailureKind.DEGRADE_SWAP, magnitude=0.0)
-        assert apply_failure(small_network, event) == small_network
+        assert apply_failures(small_network, [event]) == small_network
 
     def test_remove_link(self, small_network):
         event = FailureEvent(target=0, kind=FailureKind.REMOVE_LINK)
-        after = apply_failure(small_network, event)
+        after = apply_failures(small_network, [event])
         assert len(after.links) == len(small_network.links) - 1
         with pytest.raises(NotFoundError):
             after.link_by_id(0)
@@ -223,31 +224,88 @@ class TestApplyFailure:
 
     def test_full_fidelity_degradation_kills_existence(self, small_network):
         event = FailureEvent(target=1, kind=FailureKind.DEGRADE_FIDELITY, magnitude=1.0)
-        after = apply_failure(small_network, event)
+        after = apply_failures(small_network, [event])
         assert after.link_by_id(1).fidelity == 0.0
         assert link_existence_probability(after.link_by_id(1)) == 0.0
 
     def test_degradations_compose_multiplicatively(self, small_network):
         e1 = FailureEvent(target=0, kind=FailureKind.DEGRADE_SWAP, magnitude=0.5)
         e2 = FailureEvent(target=0, kind=FailureKind.DEGRADE_SWAP, magnitude=0.5)
-        after = apply_failure(apply_failure(small_network, e1), e2)
+        after = apply_failures(apply_failures(small_network, [e1]), [e2])
         assert after.link_by_id(0).swap_success == pytest.approx(0.25)
 
     def test_loss_degradation_scales_survival(self, small_network):
         event = FailureEvent(target=1, kind=FailureKind.DEGRADE_LOSS, magnitude=0.5)
-        after = apply_failure(small_network, event)
+        after = apply_failures(small_network, [event])
         assert after.link_by_id(1).photon_loss == pytest.approx(0.5)
 
     def test_missing_target(self, small_network):
-        with pytest.raises(NotFoundError):
-            apply_failure(small_network, FailureEvent(target=99, kind=FailureKind.REMOVE_LINK))
+        event = FailureEvent(target=99, kind=FailureKind.REMOVE_LINK)
+        assert apply_failures(small_network, [event]) == small_network
 
     def test_remove_is_idempotent_via_schedule(self, small_network):
-        from etopo import apply_failures
-
         events = [
             FailureEvent(target=0, kind=FailureKind.REMOVE_LINK, time=0),
             FailureEvent(target=0, kind=FailureKind.REMOVE_LINK, time=1),
         ]
         after = apply_failures(small_network, events)
         assert len(after.links) == 1
+
+
+KINDS = list(FailureKind)
+
+
+def _random_schedule(rng, num_links):
+    """Events on known and unknown links, magnitudes 0 and 1 among them, and
+    some repeated (time, target, kind) keys with other magnitudes."""
+    events = []
+    for _ in range(rng.randint(0, 10)):
+        if events and rng.random() < 0.2:
+            twin = rng.choice(events)
+            time, target, kind = twin.time, twin.target, twin.kind
+        else:
+            time = rng.randint(0, 4)
+            target = rng.randint(-1, num_links + 1)
+            kind = rng.choice(KINDS)
+        magnitude = rng.choice((0.0, 1.0, dyadic(rng), rng.random()))
+        events.append(FailureEvent(target=target, kind=kind, magnitude=magnitude, time=time))
+    return events
+
+
+class TestApplyFailuresMatchesReference:
+    """apply_failures against the event-at-a-time reference: equal networks,
+    links in the same order."""
+
+    @staticmethod
+    def _check(network, events, until):
+        got = apply_failures(network, events, until=until)
+        expected = reference_apply_failures(network, events, until=until)
+        assert got == expected
+        assert [link.id for link in got.links] == [link.id for link in expected.links]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_schedules(self, seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            network = random_overlay(rng, num_nodes=6, num_links=rng.randint(0, 10))
+            events = _random_schedule(rng, len(network.links))
+            for until in (None, *range(-1, 6)):
+                self._check(network, events, until)
+
+    def test_removal_then_degradation_is_skipped(self, small_network):
+        events = [
+            FailureEvent(target=0, kind=FailureKind.DEGRADE_FIDELITY, magnitude=0.5, time=2),
+            FailureEvent(target=0, kind=FailureKind.REMOVE_LINK, time=1),
+            FailureEvent(target=1, kind=FailureKind.DEGRADE_SWAP, magnitude=0.25, time=2),
+        ]
+        after = apply_failures(small_network, events)
+        assert [link.id for link in after.links] == [1]
+        assert after.link_by_id(1).swap_success == 0.75
+        self._check(small_network, events, None)
+
+    def test_degradation_keeps_link_order(self, small_network):
+        event = FailureEvent(target=0, kind=FailureKind.DEGRADE_LOSS, magnitude=1.0)
+        after = apply_failures(small_network, [event])
+        assert [link.id for link in after.links] == [0, 1]
+        assert after.link_by_id(0).photon_loss == 1.0
+        self._check(small_network, [event], None)

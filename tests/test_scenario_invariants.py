@@ -6,8 +6,10 @@ and small random scenarios: some with a failure of each kind and a second
 removal of an already removed link, some with links that a few demands
 fill. At or below the exact cap a trial must match the brute-force oracle;
 every feasible result, exact or greedy, must meet the capacity and
-interference constraints; each served user's states must lead from its
-source to its target; served and rejected must split the demands; and a
+interference constraints; each served user's links must be adapted links,
+each held once, that form one simple path from its source to its target,
+with no net flow at the path's interior nodes; served and rejected must
+split the demands; and a
 scenario must give the same output bytes when run again, and after a round
 trip through its dict form.
 
@@ -119,17 +121,42 @@ def test_feasible_results_meet_the_constraints(runs):
     assert exact and greedy
 
 
+def user_path(instance, solution, demand):
+    """The nodes, from the source, of the one simple path that demand's
+    user's links in C form; fails unless they are adapted links, each held
+    once, leading from the demand's source to its target."""
+    links = [link for user, link, _ in solution.C if user == demand.user]
+    assert len(set(links)) == len(links)
+    assert set(links) <= instance.adapted.links
+    unused = set(map(instance.network.link_by_id, links))
+    path = [demand.source]
+    while unused:
+        steps = [link for link in unused if path[-1] in link.endpoints]
+        assert len(steps) == 1, f"user {demand.user}: {len(steps)} links go on from {path[-1]}"
+        step = steps[0]
+        unused.remove(step)
+        path.append(step.other(path[-1]))
+    assert path[-1] == demand.target
+    assert len(set(path)) == len(path)
+    return path
+
+
 def test_served_users_flow_from_source_to_target(runs):
-    # Only the two ends are asked: each call checks every reference of C.
-    served = 0
+    # flow_imbalance is asked only at path nodes: each call checks every
+    # reference of C.
+    served = interior = 0
     for record, instance, _ in solved_trials(runs):
         solution = record.result.solution
         for qid in record.result.served:
             demand = instance.demands[qid]
+            path = user_path(instance, solution, demand)
             assert flow_imbalance(instance, solution, demand.source, demand.user) == 1
             assert flow_imbalance(instance, solution, demand.target, demand.user) == -1
+            for node in path[1:-1]:
+                assert flow_imbalance(instance, solution, node, demand.user) == 0
             served += 1
-    assert served
+            interior += len(path) - 2
+    assert served and interior
 
 
 def test_served_and_rejected_split_the_demands(runs):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import inf
 from operator import sub
 from typing import Optional, Sequence
@@ -24,10 +24,13 @@ from etopo import (
     ConflictGraph,
     Demand,
     EntangledLink,
+    FailureEvent,
+    FailureKind,
     GeneratorParams,
     InterferenceSet,
     InvalidLevelError,
     NotFoundError,
+    OverlayNetwork,
     Path,
     PlacementError,
     PStarMode,
@@ -320,6 +323,36 @@ def reference_link_update(link, policy: ThresholdPolicy, mode: PStarMode):
     if pr < threshold:
         return False, 0.0
     return True, pr if mode is PStarMode.MEASURED else threshold
+
+
+def _reference_apply_failure(network: OverlayNetwork, event: FailureEvent) -> OverlayNetwork:
+    link = network.link_by_id(event.target)
+    if event.kind is FailureKind.REMOVE_LINK:
+        return replace(network, links=tuple(l for l in network.links if l.id != event.target))
+    keep = 1.0 - event.magnitude
+    if event.kind is FailureKind.DEGRADE_SWAP:
+        updated = replace(link, swap_success=link.swap_success * keep)
+    elif event.kind is FailureKind.DEGRADE_FIDELITY:
+        updated = replace(link, fidelity=link.fidelity * keep)
+    else:
+        updated = replace(link, photon_loss=1.0 - (1.0 - link.photon_loss) * keep)
+    return replace(
+        network,
+        links=tuple(updated if l.id == event.target else l for l in network.links),
+    )
+
+
+def reference_apply_failures(network: OverlayNetwork, events, until=None) -> OverlayNetwork:
+    """One event at a time, each copying the whole network; an event whose
+    target is missing raises NotFoundError and is skipped."""
+    for event in sorted(events, key=lambda e: (e.time, e.target, e.kind.value)):
+        if until is not None and event.time > until:
+            continue
+        try:
+            network = _reference_apply_failure(network, event)
+        except NotFoundError:
+            continue
+    return network
 
 
 def reference_placement(nodes, placement, k: int, n: int):
@@ -802,7 +835,7 @@ def reference_build_conflict_graph(instance: AssignmentInstance) -> ConflictGrap
         for i, u in enumerate(qids):
             for v in qids[i + 1:]:
                 edges.add((u, v))
-    return ConflictGraph(frozenset(vertices), frozenset(edges), k_star=len(vertices))
+    return ConflictGraph(frozenset(vertices), frozenset(edges))
 
 
 def parallel_chain(hops: int):
