@@ -395,7 +395,10 @@ def enumerate_simple_paths(
             walked.discard(nbr)
             links.pop()
 
-    extend(source, 1)
+    try:
+        extend(source, 1)
+    finally:
+        extend = None  # the closure refers to itself: free it by refcount
     return results
 
 
@@ -462,20 +465,25 @@ def solve_exact(
     # States of a link with the same rivals for every demand can be swapped
     # in any assignment at no change in cost or feasibility, and putting the
     # smaller state first gives smaller entries: the rule's optimum opens
-    # such twins in increasing order, so no other order is searched.
+    # such twins in increasing order, so no other order is searched. A
+    # state no interference set names has no rivals: its key is None.
+    named = {ref for _, ref in rivals}
     earlier: dict[ResourceRef, tuple[StateId, ...]] = {}
     for link in instance.resource_sets:
-        twins: dict[tuple, list[StateId]] = {}
+        twins: dict[Optional[tuple], list[StateId]] = {}
         for state in sorted(instance.states_of(link)):
-            key = tuple(rivals.get((qid, (link, state))) for qid in range(n_demands))
-            earlier[(link, state)] = tuple(twins.setdefault(key, []))
+            ref = (link, state)
+            key = (tuple(rivals.get((qid, ref)) for qid in range(n_demands))
+                   if ref in named else None)
+            earlier[ref] = tuple(twins.setdefault(key, []))
             twins[key].append(state)
     # Demand qid follows qid others, which hold at most qid states of a
     # link: a state with more smaller twins than that never opens in order.
+    refs = sorted(earlier)
     options: list[list[_Option]] = []
     for qid in range(n_demands):
         usable: dict[LinkId, list[ResourceRef]] = {}
-        for ref in sorted(earlier):
+        for ref in refs:
             if len(earlier[ref]) <= qid:
                 usable.setdefault(ref[0], []).append(ref)
         options.append(_demand_options(instance, qid, usable))
@@ -544,7 +552,10 @@ def solve_exact(
                 granted[(link, state)].discard(qid)
             del chosen[qid]
 
-    descend(0, 0.0)
+    try:
+        descend(0, 0.0)
+    finally:
+        descend = None  # the closure refers to itself: free it by refcount
     if best is None:
         return _result(instance, frozenset(), rejected=range(n_demands))
     return _result(instance, best)

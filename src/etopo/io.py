@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, fields, replace
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import AbstractSet, Any, Mapping, Optional, Union
 
@@ -136,8 +137,73 @@ def _load_json(path: PathLike) -> Any:
 
 
 def _json_text(payload: Any) -> str:
-    """The one JSON layout of every file and stdout document written."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The one JSON layout of every file and stdout document written: the
+    bytes of json.dumps(payload, indent=2, sort_keys=True) plus a newline.
+
+    json's indented encoder is pure Python and builds closures that refer
+    to each other on every call, which only the cyclic collector frees;
+    this writer leaves no reference cycle. It takes str-keyed dicts, lists,
+    tuples, str, int, float, bool and None, subclasses matched as json
+    matches them, and raises TypeError on any other value."""
+    parts: list[str] = []
+    _write_json(payload, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value: Any, parts: list[str], newline: str) -> None:
+    """Append value's JSON text to parts; newline is a line break followed
+    by the indent of the line value starts on."""
+    if isinstance(value, str):
+        parts.append(_escape(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _write_json(item, parts, inner)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(separator)
+            parts.append(_escape(key))
+            parts.append(": ")
+            _write_json(value[key], parts, inner)
+            separator = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
 
 
 def _write_file(text: str, path: PathLike) -> None:
@@ -193,10 +259,16 @@ def network_from_dict(data: Mapping[str, Any], context: str = "network") -> Over
             raise ConfigError(f"{where}: {exc}") from exc
         links.append(link)
     network = make_network(nodes, links)
+    _check_network(network, context)
+    return network
+
+
+def _check_network(network: OverlayNetwork, context: str) -> None:
+    """Raise ConfigError naming every violation that overlay.validate finds
+    in network, the network block at field path context."""
     violations = validate(network, context)
     if violations:
         raise ConfigError("; ".join(v.message for v in violations))
-    return network
 
 
 def load_network(path: PathLike) -> OverlayNetwork:

@@ -42,6 +42,7 @@ from .generate import (
 )
 from .io import (
     BASE_GRAPH_FAULTS,
+    _check_network,
     _integer,
     _list,
     _require,
@@ -99,6 +100,8 @@ class Scenario:
             raise ConfigError(
                 "scenario: provide exactly one of network, network_file, generator"
             )
+        if self.network_inline is not None:
+            _check_network(self.network_inline, "scenario.network")
         users: set[int] = set()
         for i, d in enumerate(self.demands):
             if d.user in users:

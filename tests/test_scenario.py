@@ -62,6 +62,20 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="exactly one"):
             line_scenario(network_inline=None)
 
+    @pytest.mark.parametrize("links, message", [
+        ([EntangledLink(id=0, a=0, b=1), EntangledLink(id=0, a=1, b=2),
+          EntangledLink(id=1, a=2, b=3)],
+         r"scenario\.network\.links\[1\]\.id: link id 0 appears more than once"),
+        ([EntangledLink(id=0, a=0, b=1), EntangledLink(id=1, a=1, b=9)],
+         r"scenario\.network\.links\[1\]: endpoint 9 is not in scenario\.network\.nodes"),
+        ([EntangledLink(id=0, a=0, b=1), EntangledLink(id=1, a=1, b=0)],
+         r"scenario\.network\.links\[1\]: links 0 and 1 both join pair \(0, 1\) at level 1"),
+    ], ids=["repeated-id", "unknown-endpoint", "repeated-pair-and-level"])
+    def test_inline_network_is_validated(self, links, message):
+        # As the file readers check a scenario's network block.
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            line_scenario(network_inline=make_network(range(4), links))
+
     def test_duplicate_users_rejected(self):
         with pytest.raises(ConfigError, match="distinct"):
             line_scenario(demands=(
