@@ -28,7 +28,6 @@ from .errors import (
     LatticeCapacityError,
     NotFoundError,
     PlacementError,
-    TooLargeError,
 )
 from .generate import GeneratorParams, generate_network
 from .io import (
@@ -53,6 +52,7 @@ from .scenario import (
     records_to_solutions,
     run_scenario,
     scenario_from_dict,
+    solve,
 )
 
 EXIT_OK = 0
@@ -123,6 +123,8 @@ def _adapted_from_args(args):
     for flag, value, minimum in (("--k", k, 1), ("--n", n, 2)):
         if value < minimum:
             raise ConfigError(f"{flag}: must be >= {minimum}, got {value}")
+    if args.thresholds is None and not 0.0 <= args.threshold <= 1.0:  # NaN fails too
+        raise ConfigError(f"--threshold: must be in [0, 1], got {args.threshold}")
     placement = load_placement(args.placement) if args.placement else None
     try:
         graph = map_overlay(network, k, n, placement=placement,
@@ -180,15 +182,8 @@ def _cmd_route(args) -> int:
 
 def _cmd_assign(args) -> int:
     instance = load_instance(args.instance)
-    if args.solver == "greedy":
-        result = solve_greedy(instance)
-    elif args.solver == "exact":
-        result = solve_exact(instance)
-    else:
-        try:
-            result = solve_exact(instance)
-        except TooLargeError:
-            result = solve_greedy(instance)
+    solver = {"auto": solve, "exact": solve_exact, "greedy": solve_greedy}[args.solver]
+    result = solver(instance)
     _dump(solve_result_to_dict(result), args.out)
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
@@ -263,11 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log timings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True, out=True, fmt=False):
+    def add_common(p, seed=True, fmt=False):
         if seed:
             p.add_argument("--seed", type=int, default=None)
-        if out:
-            p.add_argument("--out", default=None)
+        p.add_argument("--out", default=None)
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
 

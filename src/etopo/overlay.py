@@ -112,10 +112,6 @@ class EntangledLink:
         """Unordered endpoint pair in canonical (low, high) order."""
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
-    @property
-    def hop_distance(self) -> int:
-        return hop_distance(self.level)
-
     def other(self, node: NodeId) -> NodeId:
         if node == self.a:
             return self.b

@@ -208,7 +208,6 @@ def link_resource_sets(network: OverlayNetwork) -> dict[LinkId, ResourceSet]:
 
 def build_trial_instance(
     network: OverlayNetwork,
-    graph,
     adapted,
     demands: tuple[Demand, ...],
     outcomes: Mapping[int, RoutingOutcome],
@@ -227,7 +226,7 @@ def build_trial_instance(
     resource_count); the instance takes the sets of the adapted links from
     it, in the adapted set's order, which is network.links order when
     adapted was built from network. The instance holds no route memo:
-    run_scenario owns the trial's routes and hands them to solve_greedy.
+    run_scenario owns the trial's routes and hands them to solve.
     """
     routable = [qid for qid in sorted(outcomes) if outcomes[qid].found]
     local_of = {qid: i for i, qid in enumerate(routable)}
@@ -250,13 +249,23 @@ def build_trial_instance(
             interference.append(InterferenceSet(link=lid, state=state, competing=competing))
     instance = AssignmentInstance(
         network=network,
-        graph=graph,
+        graph=adapted.graph,
         adapted=adapted,
         demands=instance_demands,
         resource_sets=retained_sets,
         interference=tuple(interference),
     )
     return instance, tuple(routable)
+
+
+def solve(instance: AssignmentInstance, routes: Optional[RouteMemo] = None) -> SolveResult:
+    """The exact solver's result within its variable cap, the greedy
+    solver's (walking from routes) above it. Both solvers are looked up on
+    this module when called."""
+    try:
+        return solve_exact(instance)
+    except TooLargeError:
+        return solve_greedy(instance, routes)
 
 
 def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
@@ -311,14 +320,9 @@ def run_scenario(scenario: Scenario) -> list[MetricsRecord]:
         t2 = time.perf_counter()
 
         instance, routable = build_trial_instance(
-            network, graph, adapted, scenario.demands, outcomes, resource_sets
+            network, adapted, scenario.demands, outcomes, resource_sets
         )
-        result = None
-        if instance.demands:
-            try:
-                result = solve_exact(instance)
-            except TooLargeError:
-                result = solve_greedy(instance, routes)
+        result = solve(instance, routes) if instance.demands else None
         served = () if result is None else tuple(routable[i] for i in result.served)
         t3 = time.perf_counter()
         _log().info(

@@ -333,6 +333,14 @@ FLAG_FAULTS = [
      "--k 1 --n 4: lattice with 4 cells cannot hold 30 nodes"),
     ("lattice-too-small", "route", ["--k", "1", "--n", "4"],
      "--k 1 --n 4: lattice with 4 cells cannot hold 30 nodes"),
+    ("threshold-above-one", "adapt", ["--threshold", "1.5"],
+     "--threshold: must be in [0, 1], got 1.5"),
+    ("threshold-above-one", "route", ["--threshold", "1.5"],
+     "--threshold: must be in [0, 1], got 1.5"),
+    ("threshold-nan", "adapt", ["--threshold", "nan"],
+     "--threshold: must be in [0, 1], got nan"),
+    ("threshold-nan", "route", ["--threshold", "nan"],
+     "--threshold: must be in [0, 1], got nan"),
     ("unknown-source", "route", ["--source", "99"],
      "--source: node 99 is not mapped in the base-graph"),
     ("unknown-target", "route", ["--target", "99"],

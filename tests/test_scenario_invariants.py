@@ -9,9 +9,10 @@ every feasible result, exact or greedy, must meet the capacity and
 interference constraints; each served user's links must be adapted links,
 each held once, that form one simple path from its source to its target,
 with no net flow at the path's interior nodes; served and rejected must
-split the demands; and a
-scenario must give the same output bytes when run again, and after a round
-trip through its dict form.
+split the demands; each result must be what etopo.scenario.solve, the one
+rule that `etopo assign --solver auto` also follows, gives on the trial's
+instance; and a scenario must give the same output bytes when run again,
+and after a round trip through its dict form.
 
 Not checked here: that no resource state is held by two users. The exact
 solver can share a state of a link that no two greedy routes crossed,
@@ -34,8 +35,9 @@ from etopo import (
     solve_exact,
 )
 from etopo.assignment import BNB_VARIABLE_CAP
-from etopo.io import _json_text
-from etopo.scenario import records_to_csv, records_to_solutions
+from etopo.cli import EXIT_INFEASIBLE, EXIT_OK, main
+from etopo.io import _json_text, save_instance, solve_result_to_dict
+from etopo.scenario import records_to_csv, records_to_solutions, solve
 from util import (
     greedy_scenario_payload,
     oracle_solve,
@@ -168,6 +170,36 @@ def test_served_and_rejected_split_the_demands(runs):
             assert sorted(record.served + record.rejected) == list(demands)
             assert set(record.served) <= set(routable)
             assert [qid for qid, _ in record.routing] == list(demands)
+
+
+def test_trials_follow_the_one_solve_rule(runs):
+    exact = greedy = 0
+    for record, instance, _ in solved_trials(runs):
+        assert solve_result_to_dict(record.result) == solve_result_to_dict(solve(instance))
+        below_cap = instance.n_variables() <= BNB_VARIABLE_CAP
+        exact += below_cap
+        greedy += not below_cap
+    assert exact and greedy
+
+
+def test_assign_auto_writes_the_trial_result(runs, tmp_path):
+    """`etopo assign --solver auto` on a trial's saved instance writes the
+    trial's result, for the first trial of each size."""
+    firsts = {}
+    for payload, records, built in runs:
+        for record, (instance, _) in zip(records, built):
+            if instance.demands:
+                below_cap = instance.n_variables() <= BNB_VARIABLE_CAP
+                firsts.setdefault(below_cap, (payload, record, instance))
+    assert sorted(firsts) == [False, True]
+    for below_cap, (payload, record, instance) in firsts.items():
+        path = tmp_path / f"instance-{below_cap}.json"
+        out = tmp_path / f"result-{below_cap}.json"
+        save_instance(instance, scenario_from_dict(payload).thresholds, path)
+        code = main(["assign", str(path), "--solver", "auto", "--out", str(out)])
+        assert code == (EXIT_OK if record.result.feasible else EXIT_INFEASIBLE)
+        expected = _json_text(solve_result_to_dict(record.result)).encode("utf-8")
+        assert out.read_bytes() == expected
 
 
 def run_outputs(payload):
