@@ -130,10 +130,18 @@ def updated_probability(
 
 
 def _retained_adjacency(
-    graph: BaseGraph, retained: Mapping[LinkId, float]
+    graph: BaseGraph, network: OverlayNetwork, retained: Mapping[LinkId, float]
 ) -> Mapping[NodeId, tuple[Contact, ...]]:
-    """graph's contacts restricted to retained links, sharing every unpruned row."""
+    """graph's contacts restricted to retained, the links of network that
+    adapt keeps, sharing every unpruned row.
+
+    When graph mirrors the very network.links tuple and retained holds as
+    many ids as it has links, every link of the graph is kept, and its
+    contacts are returned without a scan. Any other input is scanned.
+    """
     contacts = graph.contacts
+    if graph.mirrored_links is network.links and len(retained) == len(network.links):
+        return contacts
     link_of = itemgetter(1)
     kept = retained.__contains__
     if all(map(kept, map(link_of, chain.from_iterable(contacts.values())))):
@@ -154,6 +162,6 @@ def adapt(
     retained = _p_star(network.links, policy)
     return AdaptedLinkSet(
         p_star_by_link=retained, graph=graph,
-        adjacency=_retained_adjacency(graph, retained),
+        adjacency=_retained_adjacency(graph, network, retained),
     )
 

@@ -25,7 +25,7 @@ from typing import Collection, Mapping, MutableMapping, NamedTuple, Optional, Se
 from .adaption import AdaptedLinkSet
 from .basegraph import BaseGraph
 from .errors import NotFoundError, TooLargeError, Violation
-from .overlay import LinkId, NodeId, OverlayNetwork, slot_setters
+from .overlay import LinkId, NodeId, OverlayNetwork, frozen_record, slot_setters
 from .routing import Plan, RouteStatus, RoutingOutcome, route
 
 StateId = int
@@ -45,6 +45,7 @@ BNB_VARIABLE_CAP = 40
 OPTION_CAP = 200_000
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True)
 class Demand:
     """One user's request for end-to-end entanglement at a given rate, a
@@ -64,6 +65,7 @@ class Demand:
             raise ValueError(f"demand rate must be finite, got {self.rate}")
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True, init=False)
 class ResourceSet:
     """The stored entangled states available on one link."""
@@ -78,6 +80,7 @@ class ResourceSet:
         _set_rs_states(self, states)
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True, init=False)
 class InterferenceSet:
     """Demands contending for one resource state at an intermediate node.

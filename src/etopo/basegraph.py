@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping, Optional, Sequence
 
@@ -57,12 +57,21 @@ class BaseGraph:
     placement lacks it, so a walk reads a contact's cell from its row
     without a placement lookup. contacts_of gives a node's (neighbor, link
     id) pairs. Treat instances as immutable after construction.
+
+    mirrored_links is the very network.links tuple whose links map_overlay
+    mirrored as contacts, and None on a graph built any other way. It is
+    no constructor argument, so dataclasses.replace drops it, and it takes
+    no part in == or repr. adapt reads it to share contacts unscanned when
+    it keeps every one of those links.
     """
 
     k: int
     n: int
     placement: Mapping[NodeId, LatticeCoord]
     contacts: Mapping[NodeId, tuple[Contact, ...]]
+    mirrored_links: Optional[tuple[EntangledLink, ...]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def coord(self, node: NodeId) -> LatticeCoord:
         try:
@@ -141,7 +150,9 @@ def map_overlay(
             append((far, link.id, cell(far)))
         row.sort()
         contacts[node] = tuple(row)
-    return BaseGraph(k=k, n=n, placement=placed, contacts=contacts)
+    graph = BaseGraph(k=k, n=n, placement=placed, contacts=contacts)
+    object.__setattr__(graph, "mirrored_links", network.links)
+    return graph
 
 
 def _checked_placement(

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 from .basegraph import BaseGraph, map_overlay
 from .errors import ConfigError
-from .overlay import EntangledLink, OverlayNetwork, make_network
+from .overlay import EntangledLink, OverlayNetwork, links_from_columns, make_network
 
 
 def derive_seed(root: int, *labels: object) -> int:
@@ -142,16 +142,11 @@ def generate_network(params: GeneratorParams, seed: int) -> OverlayNetwork:
     return make_network(nodes, links)
 
 
-def _distance_cum_weights(n: int) -> list[float]:
-    """Cumulative radial weights 1/d for d = 1 .. 2(n-1), as _sample_long_range
-    draws them; computed once per lattice."""
-    return list(itertools.accumulate(1.0 / d for d in range(1, 2 * (n - 1) + 1)))
-
-
-def _sample_long_range(
-    rng: random.Random, origin: tuple[int, int], n: int, cum_weights: list[float]
-) -> Optional[tuple[int, int]]:
-    """Draw a long-range contact cell for origin, or None.
+def _sample_long_range(rng: random.Random, n: int) -> Iterator[Optional[int]]:
+    """Draw a long-range contact cell for every node of the n-by-n lattice,
+    in node order, in one pass over one random stream: for node x * n + y,
+    yield the index cx * n + cy of its contact's cell (cx, cy), or None
+    when the node gets no long-range contact.
 
     Each try draws a distance d with weight 1/d, then dx uniformly from
     [-d, d] and the sign of dy = +-(d - |dx|) by a coin, and tries again
@@ -163,32 +158,37 @@ def _sample_long_range(
     the node gets no long-range contact at all. The ROADMAP item "An exact
     Kleinberg sampler" tracks the exact law, which changes every lattice.
 
-    cum_weights is _distance_cum_weights(n). The distance draw is the one
+    The cumulative radial weights 1/d for d = 1 .. 2(n-1) are summed once
+    per lattice. The distance draw is the one
     `rng.choices(range(1, len(cum_weights) + 1), cum_weights=cum_weights)`
     makes, and the dx draw is the one `rng.randint(-d, d)` makes on
     CPython 3.10 to 3.13 (randrange's rejection loop over getrandbits,
     without its three Python frames), so the random stream is consumed
-    exactly as those calls do.
+    exactly as those calls do, one node after another.
     """
-    x, y = origin
+    cum_weights = list(itertools.accumulate(1.0 / d for d in range(1, 2 * (n - 1) + 1)))
     hi = len(cum_weights) - 1
     total = cum_weights[-1]
     random_ = rng.random
     getrandbits = rng.getrandbits
-    for _ in range(64):
-        d = bisect.bisect(cum_weights, random_() * total, 0, hi) + 1
-        width = 2 * d + 1
-        bits = width.bit_length()
-        r = getrandbits(bits)
-        while r >= width:
-            r = getrandbits(bits)
-        dx = r - d
-        dy_mag = d - abs(dx)
-        cx = x + dx
-        cy = y + dy_mag if random_() < 0.5 else y - dy_mag
-        if 0 <= cx < n and 0 <= cy < n:
-            return cx, cy
-    return None
+    for x in range(n):
+        for y in range(n):
+            for _ in range(64):
+                d = bisect.bisect(cum_weights, random_() * total, 0, hi) + 1
+                width = 2 * d + 1
+                bits = width.bit_length()
+                r = getrandbits(bits)
+                while r >= width:
+                    r = getrandbits(bits)
+                dx = r - d
+                dy_mag = d - abs(dx)
+                cx = x + dx
+                cy = y + dy_mag if random_() < 0.5 else y - dy_mag
+                if 0 <= cx < n and 0 <= cy < n:
+                    yield cx * n + cy
+                    break
+            else:
+                yield None
 
 
 @contextlib.contextmanager
@@ -222,6 +222,12 @@ def kleinberg_lattice(n: int, seed: int) -> tuple[OverlayNetwork, BaseGraph]:
     pair is skipped, and a node whose 64 tries all fall off the lattice
     has none, so a lattice holds at most n * n long-range links.
 
+    The links are made by overlay.links_from_columns, which checks them as
+    EntangledLink does: first the grid links of each lattice row x, from
+    its endpoint columns, then the long-range links of each row. Columns
+    of one row at a time stay small, so they add nothing to the build's
+    peak memory.
+
     The cyclic garbage collector is paused process-wide for the whole
     build, map_overlay included, and restored to its prior state after
     it, also when the build raises.
@@ -229,39 +235,50 @@ def kleinberg_lattice(n: int, seed: int) -> tuple[OverlayNetwork, BaseGraph]:
     if n < 2:
         raise ConfigError("lattice side must be >= 2")
     with _collector_paused():
-        rng = random.Random(seed)
         size = n * n
         # One int object per node id, shared by the node set, the placement and
         # every link endpoint: on 256 x 256 that is 65k ids instead of about 365k.
         ids = list(range(size))
-        # cells[u] is node u's cell, divmod(u, n): the placement's coordinates
-        # and the long-range sampler's origins.
+        # cells[u] is node u's cell, divmod(u, n): the placement's coordinates.
         cells = list(itertools.product(range(n), repeat=2))
         links: list[EntangledLink] = []
-        append = links.append
-        for u in ids:
-            if u + n < size:
-                append(EntangledLink(len(links), u, ids[u + n]))
-            if (u + 1) % n:
-                append(EntangledLink(len(links), u, ids[u + 1]))
+        extend = links.extend
+        # Row x holds the nodes start .. start + n - 1, start = x * n. Each
+        # links to u + n and then to u + 1, so the row's a column repeats
+        # every node but the last, and its b column interleaves the next
+        # row with the row shifted by one. The last row has no next row.
+        for start in range(0, size - n, n):
+            row = ids[start:start + n]
+            a_column = [0] * (2 * n - 1)
+            a_column[::2] = row
+            a_column[1::2] = row[:-1]
+            b_column = [0] * (2 * n - 1)
+            b_column[::2] = ids[start + n:start + 2 * n]
+            b_column[1::2] = row[1:]
+            extend(links_from_columns(len(links), a_column, b_column))
+        row = ids[size - n:]
+        extend(links_from_columns(len(links), row[:-1], row[1:]))
 
         # Grid pairs are distinct by construction. A long-range pair (a, b),
         # a < b, repeats one exactly when b - a == n, or b - a == 1 within a
         # row, so only long-range pairs enter the dedupe set, keyed a*size + b.
         long_pairs: set[int] = set()
-        cum_weights = _distance_cum_weights(n)
-        for u, origin in zip(ids, cells):
-            cell = _sample_long_range(rng, origin, n, cum_weights)
-            if cell is None:
-                continue
-            v = ids[cell[0] * n + cell[1]]
-            a, b = (u, v) if u < v else (v, u)
-            gap = b - a
-            key = a * size + b
-            if gap == n or (gap == 1 and b % n) or key in long_pairs:
-                continue
-            long_pairs.add(key)
-            append(EntangledLink(len(links), a, b))
+        draws = _sample_long_range(random.Random(seed), n)
+        for start in range(0, size, n):
+            a_column, b_column = [], []
+            for u, cell in zip(ids[start:start + n], itertools.islice(draws, n)):
+                if cell is None:
+                    continue
+                v = ids[cell]
+                a, b = (u, v) if u < v else (v, u)
+                gap = b - a
+                key = a * size + b
+                if gap == n or (gap == 1 and b % n) or key in long_pairs:
+                    continue
+                long_pairs.add(key)
+                a_column.append(a)
+                b_column.append(b)
+            extend(links_from_columns(len(links), a_column, b_column))
         # Freed before the network and the contact rows are built, so the
         # set and its keys (about 4 MB on 256 x 256) add nothing to
         # set-up's peak memory.

@@ -238,7 +238,18 @@ def network_to_dict(network: OverlayNetwork) -> dict:
 
 
 def network_from_dict(data: Mapping[str, Any], context: str = "network") -> OverlayNetwork:
-    """The network block at field path context ("scenario.network" inline)."""
+    """The network block at field path context ("instance.network" inline),
+    checked as a whole by overlay.validate."""
+    network = _network_records_from_dict(data, context)
+    _check_network(network, context)
+    return network
+
+
+def _network_records_from_dict(data: Mapping[str, Any], context: str) -> OverlayNetwork:
+    """The network block at field path context, each node and link record
+    checked, but not the network as a whole: Scenario.__post_init__ runs
+    _check_network on its inline network, so a scenario reads its block
+    with this and checks it once."""
     _require(data, {"nodes", "links"}, context)
     nodes: set[int] = set()
     for i, node in enumerate(_list(data["nodes"], f"{context}.nodes")):
@@ -258,9 +269,7 @@ def network_from_dict(data: Mapping[str, Any], context: str = "network") -> Over
         except (ValueError, InvalidLevelError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         links.append(link)
-    network = make_network(nodes, links)
-    _check_network(network, context)
-    return network
+    return make_network(nodes, links)
 
 
 def _check_network(network: OverlayNetwork, context: str) -> None:

@@ -7,10 +7,13 @@ All values are immutable; mutating operations return new networks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from collections import deque
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from itertools import compress, count, repeat
+from operator import eq
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import InvalidLevelError, NotFoundError, Violation
 
@@ -18,6 +21,8 @@ NodeId = int
 LinkId = int
 
 _INF = float("inf")
+
+_Record = TypeVar("_Record", bound=type)
 
 
 def hop_distance(level: int) -> int:
@@ -39,6 +44,33 @@ def slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
     return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
+def _refuse_set(self: object, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self: object, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen_record(cls: _Record) -> _Record:
+    """cls, a frozen slotted dataclass, refusing assignment and deletion of
+    every name with FrozenInstanceError, as a frozen dataclass without
+    slots does.
+
+    On CPython 3.10 to 3.13 the __setattr__ and __delattr__ that
+    dataclass(frozen=True, slots=True) generates raise FrozenInstanceError
+    for field names only. For any other name they call super() on the class
+    that slots=True replaced, which raises TypeError. No constructor goes
+    through these methods: a generated __init__ and the pickle __setstate__
+    store fields through object.__setattr__, and a hand-written __init__
+    through slot_setters.
+    """
+    cls.__setattr__ = _refuse_set
+    cls.__delattr__ = _refuse_delete
+    return cls
+
+
+@frozen_record
 @dataclass(frozen=True, slots=True, init=False)
 class EntangledLink:
     """A level-l entangled link between two overlay nodes.
@@ -73,10 +105,12 @@ class EntangledLink:
         throughput: float = 0.0,
         resource_count: int = 1,
     ) -> None:
-        # Every builder constructs links through here, so every link is
-        # checked. Valid links take one test per check; the loop below runs
-        # only to name a bad [0, 1] field. The fields are stored through the
-        # slot descriptors, since the frozen class's own __setattr__ raises.
+        # Every builder constructs links through here or through
+        # links_from_columns, which holds its links to these checks, so
+        # every link is checked. Valid links take one test per check; the
+        # loop below runs only to name a bad [0, 1] field. The fields are
+        # stored through the slot descriptors, since the frozen class's own
+        # __setattr__ raises.
         if a == b:
             raise ValueError(f"link {id}: endpoints must be distinct")
         if level < 1:
@@ -120,8 +154,51 @@ class EntangledLink:
         raise NotFoundError(f"node {node} is not an endpoint of link {self.id}")
 
 
+_LINK_SETTERS = slot_setters(EntangledLink)
 (_set_id, _set_a, _set_b, _set_level, _set_swap_success, _set_photon_loss,
- _set_fidelity, _set_throughput, _set_resource_count) = slot_setters(EntangledLink)
+ _set_fidelity, _set_throughput, _set_resource_count) = _LINK_SETTERS
+
+# The setter and default value of each field after id, a and b. The values
+# are read from a link that EntangledLink made, so they have passed its
+# checks; links_from_columns stores them without checking them again.
+_CHECKED_DEFAULTS = EntangledLink(0, 0, 1)
+_DEFAULT_FIELDS = tuple(
+    (setter, getattr(_CHECKED_DEFAULTS, f.name))
+    for setter, f in zip(_LINK_SETTERS[3:], fields(EntangledLink)[3:])
+)
+# Consumes an iterator, keeping nothing.
+_drain = deque(maxlen=0).extend
+
+
+def links_from_columns(
+    first_id: LinkId, a_column: Sequence[NodeId], b_column: Sequence[NodeId]
+) -> list[EntangledLink]:
+    """The links EntangledLink(first_id + i, a_column[i], b_column[i]), in
+    order of i, with every other field at its default, made in bulk.
+
+    Equal to what EntangledLink builds, under ==, hash, repr, pickle and
+    dataclasses.replace, and checked as it checks: the default fields
+    passed its checks once, and the endpoint test `a == b` runs over the
+    columns. When it finds equal endpoints, EntangledLink itself raises
+    its ValueError for the first such link. Each field is then stored
+    through its slot setter, one column at a time, which skips the
+    per-record frame of EntangledLink.__init__.
+    """
+    size = len(a_column)
+    if len(b_column) != size:
+        raise ValueError(
+            f"endpoint columns differ in length: {size} and {len(b_column)}"
+        )
+    bad = next(compress(count(), map(eq, a_column, b_column)), None)
+    if bad is not None:
+        EntangledLink(first_id + bad, a_column[bad], b_column[bad])  # raises
+    links = list(map(object.__new__, repeat(EntangledLink, size)))
+    _drain(map(_set_id, links, range(first_id, first_id + size)))
+    _drain(map(_set_a, links, a_column))
+    _drain(map(_set_b, links, b_column))
+    for setter, value in _DEFAULT_FIELDS:
+        _drain(map(setter, links, repeat(value, size)))
+    return links
 
 
 def link_existence_probability(link: EntangledLink) -> float:
@@ -136,6 +213,7 @@ class FailureKind(str, Enum):
     DEGRADE_FIDELITY = "degrade-fidelity"
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True)
 class FailureEvent:
     """A scheduled random failure hitting one link.

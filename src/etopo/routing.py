@@ -16,7 +16,7 @@ from typing import AbstractSet, Mapping, NamedTuple, Optional
 from .adaption import AdaptedLinkSet
 from .basegraph import BaseGraph
 from .errors import NotFoundError
-from .overlay import LinkId, NodeId, slot_setters
+from .overlay import LinkId, NodeId, frozen_record, slot_setters
 
 
 class RouteStatus(str, Enum):
@@ -37,6 +37,7 @@ class Plan(NamedTuple):
     walked: AbstractSet[NodeId]
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True, init=False)
 class Path:
     """A simple path: node sequence plus the link taken at each hop."""
@@ -51,6 +52,7 @@ class Path:
         _set_path_links(self, links)
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True, init=False)
 class RoutingOutcome:
     """Result of one routing query.

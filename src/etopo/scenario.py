@@ -45,6 +45,7 @@ from .io import (
     _check_network,
     _integer,
     _list,
+    _network_records_from_dict,
     _require,
     base_graph_fault,
     base_graph_from_dict,
@@ -57,7 +58,6 @@ from .io import (
     generator_to_dict,
     load_network,
     network_file_from_dict,
-    network_from_dict,
     network_to_dict,
     pstar_mode_from_dict,
     solution_to_dict,
@@ -126,7 +126,8 @@ def scenario_from_dict(data: Mapping[str, Any], base_dir: Optional[Path] = None)
         seed=_integer(data["seed"], "scenario", "seed"),
         trials=_integer(data["trials"], "scenario", "trials", minimum=1),
         network_file=network_file_from_dict(data, "scenario", base_dir),
-        network_inline=(network_from_dict(data["network"], "scenario.network")
+        # Scenario.__post_init__ checks the inline network as a whole.
+        network_inline=(_network_records_from_dict(data["network"], "scenario.network")
                         if "network" in data else None),
         generator=(generator_from_dict(data["generator"], "scenario.generator")
                    if "generator" in data else None),

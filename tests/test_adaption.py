@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from etopo import (
     RouteStatus,
     ThresholdPolicy,
     adapt,
+    kleinberg_lattice,
     link_existence_probability,
     make_network,
     map_overlay,
@@ -80,8 +82,10 @@ class TestAdapt:
         # Nothing is pruned, so the adjacency is the graph's own contact
         # map: adapt copies no row of a lattice it keeps whole.
         net, graph = three_link_setup()
+        assert graph.mirrored_links is net.links
         adapted = adapt(graph, net, ThresholdPolicy(default=0.0))
         assert adapted.adjacency is graph.contacts
+        assert_rows_as_scanned(adapted, graph)
 
     def test_filtered_rows_keep_the_contact_triples(self):
         net, graph = three_link_setup()
@@ -174,6 +178,89 @@ class TestAdapt:
         graph2 = map_overlay(survivors, k=1, n=4, placement=dict(graph.placement))
         second = adapt(graph2, survivors, policy)
         assert second.links == first.links
+
+
+def scanned_adjacency(graph, retained):
+    """graph's contacts restricted to the link ids in retained, by a scan of
+    every row: a row with nothing pruned stays the graph's own tuple."""
+    adjacency = {}
+    for node, row in graph.contacts.items():
+        if not all(lid in retained for _, lid, _ in row):
+            row = tuple(c for c in row if c[1] in retained)
+        adjacency[node] = row
+    return adjacency
+
+
+def assert_rows_as_scanned(adapted, graph):
+    """adapt's rows are those of a full scan: the same tuples, shared where
+    the scan shares the graph's row, in the same key order."""
+    expected = scanned_adjacency(graph, adapted.p_star_by_link)
+    got = adapted.adjacency_on(graph)
+    assert list(got.items()) == list(expected.items())
+    assert [got[node] is row for node, row in graph.contacts.items()] == \
+        [expected[node] is row for node, row in graph.contacts.items()]
+
+
+class TestAdjacencySharing:
+    """adapt shares graph.contacts without a scan only when the graph
+    mirrors the very links it filters and it keeps all of them."""
+
+    def test_nothing_pruned_on_a_lattice_shares_the_contacts(self):
+        net, graph = kleinberg_lattice(8, 3)
+        adapted = adapt(graph, net, ThresholdPolicy(default=0.0))
+        assert adapted.adjacency is graph.contacts
+
+    def test_graph_of_another_network_with_the_same_link_count(self):
+        net, graph = three_link_setup()
+        # Three links, all kept at threshold 0, but link 2 is not among them.
+        other = make_network(range(5), [*net.links[:2], EntangledLink(5, 3, 4)])
+        adapted = adapt(graph, other, ThresholdPolicy(default=0.0))
+        assert len(adapted.links) == len(other.links) == len(net.links)
+        assert adapted.adjacency is not graph.contacts
+        assert adapted.adjacency[3] == ()
+        assert_rows_as_scanned(adapted, graph)
+
+    def test_equal_network_that_is_another_object_is_scanned(self):
+        net, graph = three_link_setup()
+        twin = make_network(net.nodes, list(net.links))
+        assert twin == net and twin.links is not net.links
+        adapted = adapt(graph, twin, ThresholdPolicy(default=0.0))
+        assert_rows_as_scanned(adapted, graph)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.9, 1.0])
+    def test_network_repeating_a_link_id(self, threshold):
+        links = [EntangledLink(0, 0, 1), EntangledLink(1, 1, 2, swap_success=0.5),
+                 EntangledLink(1, 2, 3), EntangledLink(2, 3, 0, swap_success=0.95)]
+        net = make_network(range(4), links)
+        graph = map_overlay(net, k=1, n=4, placement={i: (i,) for i in range(4)})
+        adapted = adapt(graph, net, ThresholdPolicy(default=threshold))
+        assert_rows_as_scanned(adapted, graph)
+
+    def test_one_pruned_link(self):
+        net, graph = three_link_setup()
+        adapted = adapt(graph, net, ThresholdPolicy(default=0.9))
+        assert sorted(adapted.links) == [0, 2]
+        assert adapted.adjacency is not graph.contacts
+        assert_rows_as_scanned(adapted, graph)
+
+    def test_one_pruned_link_on_a_lattice(self):
+        net, graph = kleinberg_lattice(6, 1)
+        weak = replace(net.links[7], fidelity=0.5)
+        pruned = make_network(net.nodes, [*net.links[:7], weak, *net.links[8:]])
+        graph = map_overlay(pruned, k=2, n=6, placement=graph.placement)
+        adapted = adapt(graph, pruned, ThresholdPolicy(default=0.9))
+        assert len(adapted.links) == len(pruned.links) - 1
+        assert_rows_as_scanned(adapted, graph)
+
+    def test_random_graphs_and_networks(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            nets = [random_overlay(rng, 6, rng.randint(0, 8), levels=(1, 2))
+                    for _ in range(2)]
+            graph = map_overlay(nets[0], k=2, n=4, seed=rng.randrange(2**32))
+            net = rng.choice(nets)
+            policy = ThresholdPolicy(default=rng.choice([0.0, rng.random()]))
+            assert_rows_as_scanned(adapt(graph, net, policy), graph)
 
 
 class TestThresholdPolicyRange:

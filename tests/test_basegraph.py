@@ -89,6 +89,18 @@ class TestMapOverlay:
         graph = map_overlay(net, k=1, n=4, placement={0: (0,), 1: (1,), 2: (2,)})
         assert graph.contacts_of(1) == ((0, 0), (2, 1))
 
+    def test_graph_records_the_links_it_mirrored(self):
+        net = line_network()
+        graph = map_overlay(net, k=1, n=4, placement={0: (0,), 1: (1,), 2: (2,)})
+        assert graph.mirrored_links is net.links
+        # No constructor argument, and no part in == or repr.
+        copy = dataclasses.replace(graph)
+        assert copy.mirrored_links is None
+        assert copy == graph and repr(copy) == repr(graph)
+        assert "mirrored_links" not in repr(graph)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(graph, mirrored_links=net.links)
+
 
 class TestContactRows:
     """Each row holds (neighbor, link id, neighbor cell) triples sorted by

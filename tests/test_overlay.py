@@ -18,6 +18,7 @@ from etopo import (
     make_network,
     validate,
 )
+from etopo.overlay import links_from_columns
 from util import ReferenceLink, dyadic, random_overlay, reference_apply_failures
 
 
@@ -173,6 +174,63 @@ class TestEntangledLinkContract:
             del link.fidelity
         assert not hasattr(link, "__dict__")
         assert pickle.loads(pickle.dumps(link)) == link
+
+
+# Endpoint columns with small node ids, so that equal endpoints are common.
+_COLUMNS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=25)
+
+
+class TestLinksFromColumns:
+    """links_from_columns makes, in bulk, what EntangledLink makes per record."""
+
+    @given(first_id=st.integers(0, 10**6), pairs=_COLUMNS)
+    def test_matches_entangled_link_or_raises_its_first_error(self, first_id, pairs):
+        a_column = [a for a, _ in pairs]
+        b_column = [b for _, b in pairs]
+        expected = []
+        error = None
+        for i, (a, b) in enumerate(pairs):
+            try:
+                expected.append(EntangledLink(first_id + i, a, b))
+            except ValueError as exc:
+                error = str(exc)
+                break
+        if error is not None:
+            with pytest.raises(ValueError) as raised:
+                links_from_columns(first_id, a_column, b_column)
+            assert str(raised.value) == error
+            return
+        got = links_from_columns(first_id, a_column, b_column)
+        assert [type(link) for link in got] == [EntangledLink] * len(pairs)
+        names = [f.name for f in fields(EntangledLink)]
+        assert [[getattr(link, n) for n in names] for link in got] == \
+            [[getattr(link, n) for n in names] for link in expected]
+        assert repr(got) == repr(expected)  # 1 == 1.0, but not in repr
+        assert got == expected
+        assert list(map(hash, got)) == list(map(hash, expected))
+        assert pickle.loads(pickle.dumps(got)) == expected
+        assert [replace(link) for link in got] == expected
+        assert [replace(link, level=2) for link in got] == \
+            [replace(link, level=2) for link in expected]
+
+    def test_first_bad_link_is_named(self):
+        with pytest.raises(ValueError, match=r"^link 12: endpoints must be distinct$"):
+            links_from_columns(10, [0, 1, 3, 4], [1, 2, 3, 4])
+
+    def test_records_are_frozen_and_slotted(self):
+        link, = links_from_columns(5, [0], [1])
+        with pytest.raises(FrozenInstanceError):
+            link.a = 2
+        with pytest.raises(FrozenInstanceError):
+            link.extra = 2
+        assert not hasattr(link, "__dict__")
+
+    def test_empty_columns(self):
+        assert links_from_columns(3, [], []) == []
+
+    def test_columns_of_different_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="endpoint columns differ in length: 2 and 1"):
+            links_from_columns(0, [0, 1], [2])
 
 
 @pytest.fixture

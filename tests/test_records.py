@@ -13,7 +13,10 @@ import pickle
 import pytest
 
 from etopo import (
+    Demand,
     EntangledLink,
+    FailureEvent,
+    FailureKind,
     InterferenceSet,
     Path,
     ResourceSet,
@@ -82,17 +85,44 @@ def test_repr_eq_and_hash_are_the_generated_ones(record):
     assert rec != values  # another type never compares equal
 
 
+def refuses_every_name(rec, names, action):
+    """Setting or deleting each of names, and of a name that is no field,
+    raises FrozenInstanceError (the frozen slotted dataclass's own methods
+    raise TypeError for the latter on CPython 3.10 to 3.13)."""
+    for name in (*names, "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            if action == "set":
+                setattr(rec, name, 1)
+            else:
+                delattr(rec, name)
+
+
 @pytest.mark.parametrize("action", ["set", "delete"])
 def test_attributes_are_frozen(record, action):
     cls, names, values, _ = record
     rec = cls(*values)
-    for name in names:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            if action == "set":
-                setattr(rec, name, values[0])
-            else:
-                delattr(rec, name)
+    refuses_every_name(rec, names, action)
     assert tuple(getattr(rec, n) for n in names) == values
+    assert not hasattr(rec, "extra")
+
+
+# The frozen slotted records whose __init__ dataclass generates.
+GENERATED = {
+    "FailureEvent": (FailureEvent(3, FailureKind.DEGRADE_SWAP, 0.5, 2),
+                     ("target", "kind", "magnitude", "time")),
+    "Demand": (Demand(1, 0, 4, 2.5), ("user", "source", "target", "rate")),
+}
+
+
+@pytest.mark.parametrize("action", ["set", "delete"])
+@pytest.mark.parametrize("name", list(GENERATED))
+def test_generated_records_are_frozen(name, action):
+    rec, names = GENERATED[name]
+    values = tuple(getattr(rec, n) for n in names)
+    refuses_every_name(rec, names, action)
+    assert tuple(getattr(rec, n) for n in names) == values
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    assert dataclasses.replace(rec) == rec
 
 
 def test_no_instance_dict(record):

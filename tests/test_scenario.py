@@ -1,10 +1,13 @@
 import collections
 import gc
 import hashlib
+import json
 
 import pytest
 
 import etopo.generate
+import etopo.io
+from etopo.cli import EXIT_OK, main
 from etopo import (
     ConfigError,
     Demand,
@@ -38,6 +41,13 @@ def line_network(length=4, throughput=4.0):
         for i in range(length - 1)
     ]
     return make_network(range(length), links)
+
+
+def _link(link_id, a, b):
+    """A link record of a network block."""
+    return {"id": link_id, "a": a, "b": b, "level": 1, "swap_success": 1.0,
+            "photon_loss": 0.0, "fidelity": 1.0, "throughput": 1.0,
+            "resource_count": 1}
 
 
 def line_scenario(**overrides):
@@ -75,6 +85,34 @@ class TestScenarioValidation:
         # As the file readers check a scenario's network block.
         with pytest.raises(ConfigError, match=f"^{message}$"):
             line_scenario(network_inline=make_network(range(4), links))
+
+    def test_inline_network_of_a_file_is_validated_once(self, tmp_path, monkeypatch):
+        # The reader parses the block; Scenario.__post_init__ checks it.
+        contexts = []
+
+        def counting_validate(network, context="network"):
+            contexts.append(context)
+            return validate(network, context)
+
+        monkeypatch.setattr(etopo.io, "validate", counting_validate)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_to_dict(line_scenario())))
+        contexts.clear()
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert contexts == ["scenario.network"]
+
+    @pytest.mark.parametrize("links, message", [
+        ([_link(0, 0, 1), _link(0, 1, 2), _link(1, 2, 3)],
+         "scenario.network.links[1].id: link id 0 appears more than once"),
+        ([_link(0, 0, 1), _link(1, 1, 9)],
+         "scenario.network.links[1]: endpoint 9 is not in scenario.network.nodes"),
+    ], ids=["repeated-id", "unknown-endpoint"])
+    def test_inline_network_of_a_file_keeps_its_messages(self, links, message):
+        data = scenario_to_dict(line_scenario())
+        data["network"]["links"] = links
+        with pytest.raises(ConfigError) as raised:
+            scenario_from_dict(data)
+        assert str(raised.value) == message
 
     def test_duplicate_users_rejected(self):
         with pytest.raises(ConfigError, match="distinct"):
@@ -384,8 +422,13 @@ class TestGenerators:
         assert len(triples) == link_count
         assert hashlib.sha256(repr(triples).encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 16, 33])
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    # The lattice is built row by row, so larger sides compare many more
+    # batches of links against the reference builder.
+    @pytest.mark.parametrize("n, seed", [
+        pytest.param(n, seed, id=f"{seed}-{n}")
+        for n, seed in [*((n, seed) for seed in (0, 1, 7, 2024) for n in (2, 3, 5, 16, 33)),
+                        (64, 5), (128, 11)]
+    ])
     def test_kleinberg_lattice_matches_reference(self, n, seed):
         net, graph = kleinberg_lattice(n, seed)
         ref_net, ref_graph = reference_kleinberg_lattice(n, seed)
