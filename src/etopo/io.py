@@ -9,7 +9,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, fields, replace
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
 from pathlib import Path
 from typing import AbstractSet, Any, Mapping, Optional, Union
 
@@ -46,15 +48,48 @@ _LINK_INTEGERS = ("id", "a", "b", "level", "resource_count")
 _LINK_NUMBERS = ("swap_success", "photon_loss", "fidelity", "throughput")
 _INF = float("inf")
 
-# The key sets of the records a file holds many of, built once.
+# The key sets that _require checks, built once.
+_NO_KEYS: frozenset[str] = frozenset()
+_NETWORK_KEYS = frozenset({"nodes", "links"})
 _LINK_KEYS = frozenset(_LINK_FIELDS)
 _PLACEMENT_KEYS = frozenset({"node", "coords"})
+_BASE_GRAPH_KEYS = frozenset({"k", "n"})
+_BASE_GRAPH_OPTIONAL = frozenset({"placement"})
+_BASE_GRAPH_SEEDED = frozenset({"placement", "seed"})
+_THRESHOLDS_OPTIONAL = frozenset({"default", "levels"})
+_GENERATOR_OPTIONAL = frozenset(f.name for f in fields(GeneratorParams))
 _FAILURE_KEYS = frozenset({"target", "kind"})
 _FAILURE_OPTIONAL = frozenset({"magnitude", "time"})
 _DEMAND_KEYS = frozenset({"user", "source", "target"})
 _DEMAND_OPTIONAL = frozenset({"rate"})
 _RESOURCE_SET_KEYS = frozenset({"link", "states"})
 _INTERFERENCE_KEYS = frozenset({"link", "state", "competing"})
+_INSTANCE_KEYS = frozenset({"base_graph", "demands", "resource_sets"})
+_INSTANCE_OPTIONAL = frozenset(
+    {"network", "network_file", "thresholds", "pstar_mode", "interference"})
+_GRAPH_KEYS = frozenset({"vertices", "edges"})
+
+# The one test that a valid record of a kind a file holds many of passes:
+# its key set is exactly the kind's, the values read through its getter,
+# in constructor order, are of exactly its types (so no bool passes for an
+# int), and its number fields sum to a finite number (so none is NaN or
+# infinite). A record that fails the test, or that its constructor refuses,
+# is read again by the kind's field-by-field reader, which names the fault
+# and is the only code that words one. The types are lists to compare with
+# list(map(type, values)): a tuple built from a map is sized by a guess and
+# then shrunk, which is slower and leaves one more tuple of the record's
+# length on the interpreter's free list per record, up to its cap.
+_LINK_VALUES = itemgetter(*_LINK_FIELDS)
+_LINK_TYPES = [int, int, int, int, float, float, float, float, int]
+_PLACEMENT_VALUES = itemgetter("node", "coords")
+_DEMAND_FIELDS = _DEMAND_KEYS | _DEMAND_OPTIONAL
+_DEMAND_VALUES = itemgetter("user", "source", "target", "rate")
+_DEMAND_TYPES = [int, int, int, float]
+_RESOURCE_SET_VALUES = itemgetter("link", "states")
+_INTERFERENCE_VALUES = itemgetter("link", "state", "competing")
+_INTS = frozenset({int})
+_LISTS = frozenset({list})
+_TWO = frozenset({2})
 
 
 def _require(record: Mapping[str, Any], fields: AbstractSet[str], context: str,
@@ -124,6 +159,13 @@ def _integer_pairs(value: Any, context: str, key: Union[str, int]) -> tuple:
             f"{_path(context, key)}: expected a list of integer pairs, got {value!r}"
         )
     return tuple((u, v) for u, v in value)
+
+
+def _is_integer_pairs(value: Any) -> bool:
+    """Whether _integer_pairs takes value, tested in bulk."""
+    return (type(value) is list and set(map(type, value)) <= _LISTS
+            and set(map(len, value)) <= _TWO
+            and set(map(type, chain.from_iterable(value))) <= _INTS)
 
 
 def _load_json(path: PathLike) -> Any:
@@ -210,19 +252,21 @@ def _write_file(text: str, path: PathLike) -> None:
     # No O_TRUNC: on ext4 a truncate at open is a journalled inode update
     # even for an empty file, slower and far less steady than the write.
     # The file is cut to length only when it held more than the payload.
+    # An output that cannot be opened or written (a full disk, say) raises
+    # ConfigError naming its path, as an input file that cannot be read does.
     data = text.encode("utf-8")
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if os.fstat(fd).st_size > len(data):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        if os.fstat(fd).st_size > len(data):
-            os.ftruncate(fd, len(data))
-    finally:
-        os.close(fd)
 
 
 # -- network -----------------------------------------------------------------
@@ -250,26 +294,49 @@ def _network_records_from_dict(data: Mapping[str, Any], context: str) -> Overlay
     checked, but not the network as a whole: Scenario.__post_init__ runs
     _check_network on its inline network, so a scenario reads its block
     with this and checks it once."""
-    _require(data, {"nodes", "links"}, context)
+    _require(data, _NETWORK_KEYS, context)
+    node_list = data["nodes"]
+    nodes = (set(node_list) if type(node_list) is list and set(map(type, node_list)) <= _INTS
+             else None)
+    if nodes is None or len(nodes) != len(node_list):  # the reader names the fault
+        nodes = _nodes_from_list(node_list, context)
+    records = data["links"]
+    if type(records) is not list:
+        records = _list(records, f"{context}.links")
+    links = []
+    for i, record in enumerate(records):
+        if type(record) is dict and record.keys() == _LINK_KEYS:
+            values = _LINK_VALUES(record)
+            if (list(map(type, values)) == _LINK_TYPES
+                    and -_INF < values[4] + values[5] + values[6] + values[7] < _INF):
+                try:
+                    links.append(EntangledLink(*values))
+                    continue
+                except (ValueError, InvalidLevelError):
+                    pass  # the reader below names the fault
+        links.append(_link_from_dict(record, f"{context}.links[{i}]"))
+    return make_network(nodes, links)
+
+
+def _nodes_from_list(data: Any, context: str) -> set[int]:
     nodes: set[int] = set()
-    for i, node in enumerate(_list(data["nodes"], f"{context}.nodes")):
+    for i, node in enumerate(_list(data, f"{context}.nodes")):
         nodes.add(_integer(node, f"{context}.nodes", i))
         if len(nodes) == i:  # the node was listed before
             raise ConfigError(f"{context}.nodes[{i}]: node {node} appears more than once")
-    links = []
-    for i, record in enumerate(_list(data["links"], f"{context}.links")):
-        where = f"{context}.links[{i}]"
-        _require(record, _LINK_KEYS, where)
-        for key in _LINK_INTEGERS:
-            _integer(record[key], where, key)
-        for key in _LINK_NUMBERS:
-            _number(record[key], where, key)
-        try:
-            link = EntangledLink(**record)
-        except (ValueError, InvalidLevelError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-        links.append(link)
-    return make_network(nodes, links)
+    return nodes
+
+
+def _link_from_dict(record: Any, where: str) -> EntangledLink:
+    _require(record, _LINK_KEYS, where)
+    for key in _LINK_INTEGERS:
+        _integer(record[key], where, key)
+    for key in _LINK_NUMBERS:
+        _number(record[key], where, key)
+    try:
+        return EntangledLink(**record)
+    except (ValueError, InvalidLevelError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _check_network(network: OverlayNetwork, context: str) -> None:
@@ -304,15 +371,28 @@ def save_network(network: OverlayNetwork, path: PathLike) -> None:
 def placement_from_list(data: Any,
                         context: str = "placement") -> dict[int, tuple[int, ...]]:
     """The placement list at field path context."""
+    if type(data) is not list:
+        data = _list(data, context)
     placement: dict[int, tuple[int, ...]] = {}
-    for i, record in enumerate(_list(data, context)):
-        where = f"{context}[{i}]"
-        _require(record, _PLACEMENT_KEYS, where)
-        node = _integer(record["node"], where, "node")
-        placement[node] = tuple(_integer_list(record["coords"], where, "coords"))
+    for i, record in enumerate(data):
+        if type(record) is dict and record.keys() == _PLACEMENT_KEYS:
+            node, coords = _PLACEMENT_VALUES(record)
+            if type(node) is int and type(coords) is list and set(map(type, coords)) <= _INTS:
+                placement[node] = tuple(coords)
+                if len(placement) > i:
+                    continue
+        # The reader below names the fault: the record's, or a node placed twice.
+        node, coords = _placement_entry_from_dict(record, f"{context}[{i}]")
+        placement[node] = coords
         if len(placement) == i:  # the record replaced an earlier one
-            raise ConfigError(f"{where}.node: node {node} is placed more than once")
+            raise ConfigError(f"{context}[{i}].node: node {node} is placed more than once")
     return placement
+
+
+def _placement_entry_from_dict(record: Any, where: str) -> tuple[int, tuple[int, ...]]:
+    _require(record, _PLACEMENT_KEYS, where)
+    node = _integer(record["node"], where, "node")
+    return node, tuple(_integer_list(record["coords"], where, "coords"))
 
 
 def load_placement(path: PathLike) -> dict[int, tuple[int, ...]]:
@@ -324,8 +404,8 @@ def base_graph_from_dict(
 ) -> tuple[int, int, Optional[dict[int, tuple[int, ...]]], Optional[int]]:
     """The k, n, placement and seed (None when absent) of a base_graph
     record; map_overlay needs k >= 1, n >= 2. Only a seeded record has a seed."""
-    _require(data, {"k", "n"}, context,
-             optional={"placement", "seed"} if seeded else {"placement"})
+    _require(data, _BASE_GRAPH_KEYS, context,
+             optional=_BASE_GRAPH_SEEDED if seeded else _BASE_GRAPH_OPTIONAL)
     return (
         _integer(data["k"], context, "k", minimum=1),
         _integer(data["n"], context, "n", minimum=2),
@@ -364,19 +444,19 @@ def thresholds_from_dict(data: Mapping[str, Any],
     """The thresholds block at field path context. Each levels key is a
     level, an integer >= 1 in decimal digits without leading zeros, so no
     two keys name one level."""
-    _require(data, set(), context, optional={"default", "levels"})
+    _require(data, _NO_KEYS, context, optional=_THRESHOLDS_OPTIONAL)
     levels = data.get("levels", {})
-    where = f"{context}.levels"
     if not isinstance(levels, dict):
-        raise ConfigError(f"{where}: expected an object")
+        raise ConfigError(f"{context}.levels: expected an object")
     for key in levels:
         if not (key.isascii() and key.isdigit() and key[0] != "0"):
-            raise ConfigError(f"{where}.{key}: expected an integer level >= 1 "
+            raise ConfigError(f"{context}.levels.{key}: expected an integer level >= 1 "
                               f"without leading zeros")
     try:
         return ThresholdPolicy(
             default=float(_number(data.get("default", 0.0), context, "default")),
-            per_level={int(l): float(_number(t, where, l)) for l, t in levels.items()},
+            per_level={int(l): float(_number(t, f"{context}.levels", l))
+                       for l, t in levels.items()},
         )
     except ValueError as exc:  # the policy's range check names the key first
         raise ConfigError(f"{context}.{exc}") from exc
@@ -394,15 +474,16 @@ def pstar_mode_from_dict(data: Mapping[str, Any], context: str) -> ThresholdPoli
     context: its thresholds block, with its pstar_mode key as the mode."""
     policy = thresholds_from_dict(data.get("thresholds", {}), f"{context}.thresholds")
     try:
-        return replace(policy, mode=PStarMode(data.get("pstar_mode", "measured")))
+        mode = PStarMode(data.get("pstar_mode", "measured"))
     except ValueError as exc:
         raise ConfigError(f"{context}.pstar_mode: {exc}") from exc
+    return policy if mode is policy.mode else replace(policy, mode=mode)
 
 
 # -- generator, failures and demands -----------------------------------------
 
 def generator_from_dict(data: Mapping[str, Any], context: str) -> GeneratorParams:
-    _require(data, set(), context, optional={f.name for f in fields(GeneratorParams)})
+    _require(data, _NO_KEYS, context, optional=_GENERATOR_OPTIONAL)
     try:
         return GeneratorParams(**{
             key: tuple(value) if isinstance(value, list) else value
@@ -450,9 +531,20 @@ def demand_from_dict(data: Mapping[str, Any], context: str) -> Demand:
 
 
 def demands_from_list(data: Any, context: str) -> tuple[Demand, ...]:
-    return tuple(
-        demand_from_dict(d, f"{context}[{i}]") for i, d in enumerate(_list(data, context))
-    )
+    if type(data) is not list:
+        data = _list(data, context)
+    demands = []
+    for i, record in enumerate(data):
+        if type(record) is dict and record.keys() == _DEMAND_FIELDS:
+            values = _DEMAND_VALUES(record)
+            if list(map(type, values)) == _DEMAND_TYPES and -_INF < values[3] < _INF:
+                try:
+                    demands.append(Demand(*values))
+                    continue
+                except ValueError:
+                    pass  # the reader below names the fault
+        demands.append(demand_from_dict(record, f"{context}[{i}]"))
+    return tuple(demands)
 
 
 def demand_to_dict(demand: Demand) -> dict:
@@ -467,12 +559,7 @@ def demand_to_dict(demand: Demand) -> dict:
 def instance_from_dict(
     data: Mapping[str, Any], base_dir: Optional[Path] = None
 ) -> AssignmentInstance:
-    _require(
-        data,
-        {"base_graph", "demands", "resource_sets"},
-        "instance",
-        optional={"network", "network_file", "thresholds", "pstar_mode", "interference"},
-    )
+    _require(data, _INSTANCE_KEYS, "instance", optional=_INSTANCE_OPTIONAL)
     if ("network" in data) == ("network_file" in data):
         raise ConfigError("instance: provide exactly one of network, network_file")
     network_file = network_file_from_dict(data, "instance", base_dir)
@@ -489,28 +576,33 @@ def instance_from_dict(
     demands = demands_from_list(data["demands"], "instance.demands")
     resource_sets = {}
     for i, record in enumerate(_list(data["resource_sets"], "instance.resource_sets")):
-        where = f"instance.resource_sets[{i}]"
-        _require(record, _RESOURCE_SET_KEYS, where)
-        link = _integer(record["link"], where, "link")
-        states = _integer_list(record["states"], where, "states")
-        try:
-            resource_sets[link] = ResourceSet(link=link, states=tuple(states))
-        except ValueError as exc:
-            raise ConfigError(f"{where}.states: {exc}") from exc
+        if type(record) is dict and record.keys() == _RESOURCE_SET_KEYS:
+            link, states = _RESOURCE_SET_VALUES(record)
+            if type(link) is int and type(states) is list and set(map(type, states)) <= _INTS:
+                try:
+                    resource_sets[link] = ResourceSet(link, tuple(states))
+                    if len(resource_sets) > i:
+                        continue
+                except ValueError:
+                    pass
+        # The reader below names the fault: the record's, or a second set on its link.
+        link, resource_set = _resource_set_from_dict(record, f"instance.resource_sets[{i}]")
+        resource_sets[link] = resource_set
         if len(resource_sets) == i:  # the record replaced an earlier one
-            raise ConfigError(f"{where}.link: link {link} has more than one resource set")
+            raise ConfigError(f"instance.resource_sets[{i}].link: "
+                              f"link {link} has more than one resource set")
     interference = []
     for i, record in enumerate(_list(data.get("interference", []), "instance.interference")):
-        where = f"instance.interference[{i}]"
-        _require(record, _INTERFERENCE_KEYS, where)
-        try:
-            interference.append(InterferenceSet(
-                link=_integer(record["link"], where, "link"),
-                state=_integer(record["state"], where, "state"),
-                competing=_integer_pairs(record["competing"], where, "competing"),
-            ))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        if type(record) is dict and record.keys() == _INTERFERENCE_KEYS:
+            link, state, competing = _INTERFERENCE_VALUES(record)
+            if type(link) is int and type(state) is int and _is_integer_pairs(competing):
+                try:
+                    interference.append(
+                        InterferenceSet(link, state, tuple(map(tuple, competing))))
+                    continue
+                except ValueError:
+                    pass  # the reader below names the fault
+        interference.append(_interference_from_dict(record, f"instance.interference[{i}]"))
     instance = AssignmentInstance(
         network=network,
         graph=graph,
@@ -525,9 +617,38 @@ def instance_from_dict(
     return instance
 
 
+def _resource_set_from_dict(record: Any, where: str) -> tuple[int, ResourceSet]:
+    _require(record, _RESOURCE_SET_KEYS, where)
+    link = _integer(record["link"], where, "link")
+    states = _integer_list(record["states"], where, "states")
+    try:
+        return link, ResourceSet(link=link, states=tuple(states))
+    except ValueError as exc:
+        raise ConfigError(f"{where}.states: {exc}") from exc
+
+
+def _interference_from_dict(record: Any, where: str) -> InterferenceSet:
+    _require(record, _INTERFERENCE_KEYS, where)
+    try:
+        return InterferenceSet(
+            link=_integer(record["link"], where, "link"),
+            state=_integer(record["state"], where, "state"),
+            competing=_integer_pairs(record["competing"], where, "competing"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def load_instance(path: PathLike) -> AssignmentInstance:
-    path = Path(path)
-    return instance_from_dict(_load_json(path), base_dir=path.parent)
+    try:
+        data = _load_json(path)
+    except ConfigError:
+        # The error names the file as pathlib spells its path ("./a//b.json"
+        # as "a/b.json"), so only a file that cannot be read pays for a Path.
+        data = _load_json(Path(path))
+    base_dir = (Path(path).parent if isinstance(data, dict) and "network_file" in data
+                else None)
+    return instance_from_dict(data, base_dir=base_dir)
 
 
 def instance_to_dict(instance: AssignmentInstance, policy: ThresholdPolicy) -> dict:
@@ -581,7 +702,7 @@ def save_solve_result(result: SolveResult, path: PathLike) -> None:
 # -- conflict graphs ----------------------------------------------------------
 
 def conflict_graph_from_dict(data: Mapping[str, Any]) -> ConflictGraph:
-    _require(data, {"vertices", "edges"}, "graph")
+    _require(data, _GRAPH_KEYS, "graph")
     vertices: set[int] = set()
     for i, vertex in enumerate(_integer_list(data["vertices"], "graph", "vertices")):
         vertices.add(vertex)

@@ -112,14 +112,13 @@ class Scenario:
             users.add(d.user)
 
 
+_SCENARIO_KEYS = frozenset({"seed", "trials", "base_graph", "demands"})
+_SCENARIO_OPTIONAL = frozenset({"network", "network_file", "generator", "thresholds",
+                                "pstar_mode", "failures"})
+
+
 def scenario_from_dict(data: Mapping[str, Any], base_dir: Optional[Path] = None) -> Scenario:
-    _require(
-        data,
-        {"seed", "trials", "base_graph", "demands"},
-        "scenario",
-        optional={"network", "network_file", "generator", "thresholds",
-                  "pstar_mode", "failures"},
-    )
+    _require(data, _SCENARIO_KEYS, "scenario", optional=_SCENARIO_OPTIONAL)
     k, n, placement, _ = base_graph_from_dict(
         data["base_graph"], "scenario.base_graph", seeded=False)
     return Scenario(

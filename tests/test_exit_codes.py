@@ -26,11 +26,15 @@ So must a fault in a command-line flag, such as a lattice dimension or
 side below its minimum, a lattice too small for the network or a source
 node it lacks: the error names the flag, and the file that a flag names
 when that file is at fault.
+
+And so must a file that a command cannot write: each command that writes
+one, told to write to /dev/full, names that path.
 """
 
 import codecs
 import copy
 import json
+import os
 
 import pytest
 
@@ -397,3 +401,29 @@ def test_bench_routing_flag_fault_names_the_flag(flags, message, monkeypatch, ca
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+# Each command that writes a file, told to write to /dev/full, whose every
+# write fails with ENOSPC: (command, flags before --out). A write that
+# fails must exit 1 and name the output path.
+WRITE_FAULTS = [
+    ("generate", ["--nodes", "4", "--links", "3", "--seed", "1"]),
+    ("adapt", ["{network}", "--k", "1", "--n", "4", "--seed", "1"]),
+    ("route", ["{network}", "--k", "1", "--n", "4", "--seed", "1",
+               "--source", "0", "--target", "2"]),
+    ("assign", ["{instance}"]),
+    ("reduce-coloring", ["{graph}", "--colors", "2"]),
+    ("bench-routing", ["--sizes", "4", "--trials", "2", "--seed", "1"]),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command, flags", WRITE_FAULTS, ids=[c[0] for c in WRITE_FAULTS])
+def test_failed_write_exits_config_error(command, flags, tmp_path, capsys):
+    paths = {}
+    for kind in ("network", "instance", "graph"):
+        paths[kind] = tmp_path / f"{kind}.json"
+        paths[kind].write_text(json.dumps(FILES[kind]))
+    argv = [command, *(flag.format(**paths) for flag in flags), "--out", "/dev/full"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: /dev/full: ")

@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import inf
 from operator import sub
-from typing import Optional, Sequence
+from pathlib import Path as FilePath
+from typing import AbstractSet, Any, Mapping, Optional, Sequence, Union
 
 from etopo import (
     AssignmentInstance,
@@ -50,6 +51,7 @@ from etopo import (
     scenario_from_dict,
     solve_exact,
     solve_greedy,
+    validate_instance,
 )
 from etopo.assignment import (
     CTriple,
@@ -61,8 +63,18 @@ from etopo.assignment import (
     StateId,
     UserId,
 )
-from etopo.coloring import Edge, Vertex
+from etopo.coloring import Edge, Vertex, make_conflict_graph
 from etopo.errors import Violation
+from etopo.io import (
+    BASE_GRAPH_FAULTS,
+    PathLike,
+    _check_network,
+    _load_json,
+    base_graph_fault,
+    failure_from_dict,
+    network_file_from_dict,
+)
+from etopo.scenario import Scenario
 
 DENOM = 64
 
@@ -1077,3 +1089,344 @@ def _reference_greedy_serve(
         if not spilled:
             return None
     return assignment
+
+
+# -- reference file readers ---------------------------------------------------
+#
+# The file readers field by field: every field of every record checked by
+# its own call, with its field path formatted as it goes. The package reads
+# a valid record with one test and builds it positionally; its readers must
+# return equal objects (of the same types, so the same repr) for every
+# document, or raise the same error with the same text.
+
+_REFERENCE_LINK_FIELDS = (
+    "id", "a", "b", "level", "swap_success", "photon_loss", "fidelity",
+    "throughput", "resource_count",
+)
+_REFERENCE_LINK_INTEGERS = ("id", "a", "b", "level", "resource_count")
+_REFERENCE_LINK_NUMBERS = ("swap_success", "photon_loss", "fidelity", "throughput")
+_REFERENCE_INF = float("inf")
+_REFERENCE_LINK_KEYS = frozenset(_REFERENCE_LINK_FIELDS)
+_REFERENCE_PLACEMENT_KEYS = frozenset({"node", "coords"})
+_REFERENCE_DEMAND_KEYS = frozenset({"user", "source", "target"})
+_REFERENCE_DEMAND_OPTIONAL = frozenset({"rate"})
+_REFERENCE_RESOURCE_SET_KEYS = frozenset({"link", "states"})
+_REFERENCE_INTERFERENCE_KEYS = frozenset({"link", "state", "competing"})
+
+
+def _reference_require(record: Mapping[str, Any], fields: AbstractSet[str], context: str,
+                       optional: AbstractSet[str] = frozenset()) -> None:
+    """record must be an object with every key of fields and no key outside
+    fields and optional. A valid record costs one key-set comparison, plus
+    a subset test when it holds optional keys; the set arithmetic below
+    runs only to name the fault."""
+    if type(record) is dict:
+        keys = record.keys()
+        if keys == fields or (optional and fields <= keys <= fields | optional):
+            return
+    if not isinstance(record, dict):
+        raise ConfigError(f"{context}: expected an object")
+    unknown = record.keys() - fields - optional
+    if unknown:
+        raise ConfigError(f"{context}: unknown fields {sorted(unknown)}")
+    missing = fields - record.keys()
+    if missing:
+        raise ConfigError(f"{context}: missing fields {sorted(missing)}")
+
+
+def _reference_path(context: str, key: Union[str, int]) -> str:
+    return f"{context}[{key}]" if type(key) is int else f"{context}.{key}"
+
+
+def _reference_integer(value: Any, context: str, key: Union[str, int],
+                       minimum: Optional[int] = None) -> int:
+    if type(value) is not int:  # bool is an int subclass, and no count or id
+        raise ConfigError(f"{_reference_path(context, key)}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{_reference_path(context, key)}: must be >= {minimum}, got {value}")
+    return value
+
+
+def _reference_number(value: Any, context: str, key: Union[str, int]) -> Union[int, float]:
+    if type(value) not in (int, float):  # bool is an int subclass, and no number
+        raise ConfigError(f"{_reference_path(context, key)}: expected a number, got {value!r}")
+    if not -_REFERENCE_INF < value < _REFERENCE_INF:  # NaN fails both comparisons
+        raise ConfigError(
+            f"{_reference_path(context, key)}: expected a finite number, got {value!r}")
+    return value
+
+
+def _reference_list(value: Any, context: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{context}: expected a list")
+    return value
+
+
+def _reference_integer_list(value: Any, context: str, key: Union[str, int]) -> list:
+    if type(value) is not list or any(type(v) is not int for v in value):
+        raise ConfigError(
+            f"{_reference_path(context, key)}: expected a list of integers, got {value!r}")
+    return value
+
+
+def _reference_integer_pairs(value: Any, context: str, key: Union[str, int]) -> tuple:
+    """value, a list of [int, int] lists, as a tuple of pairs."""
+    if type(value) is not list or any(
+        type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int
+        for p in value
+    ):
+        raise ConfigError(
+            f"{_reference_path(context, key)}: expected a list of integer pairs, got {value!r}"
+        )
+    return tuple((u, v) for u, v in value)
+
+
+def reference_network_from_dict(data: Mapping[str, Any],
+                                context: str = "network") -> OverlayNetwork:
+    """The network block at field path context ("instance.network" inline),
+    checked as a whole by overlay.validate."""
+    network = _reference_network_records_from_dict(data, context)
+    _check_network(network, context)
+    return network
+
+
+def _reference_network_records_from_dict(data: Mapping[str, Any], context: str) -> OverlayNetwork:
+    """The network block at field path context, each node and link record
+    checked, but not the network as a whole: Scenario.__post_init__ runs
+    _check_network on its inline network, so a scenario reads its block
+    with this and checks it once."""
+    _reference_require(data, {"nodes", "links"}, context)
+    nodes: set[int] = set()
+    for i, node in enumerate(_reference_list(data["nodes"], f"{context}.nodes")):
+        nodes.add(_reference_integer(node, f"{context}.nodes", i))
+        if len(nodes) == i:  # the node was listed before
+            raise ConfigError(f"{context}.nodes[{i}]: node {node} appears more than once")
+    links = []
+    for i, record in enumerate(_reference_list(data["links"], f"{context}.links")):
+        where = f"{context}.links[{i}]"
+        _reference_require(record, _REFERENCE_LINK_KEYS, where)
+        for key in _REFERENCE_LINK_INTEGERS:
+            _reference_integer(record[key], where, key)
+        for key in _REFERENCE_LINK_NUMBERS:
+            _reference_number(record[key], where, key)
+        try:
+            link = EntangledLink(**record)
+        except (ValueError, InvalidLevelError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        links.append(link)
+    return make_network(nodes, links)
+
+
+def reference_load_network(path: PathLike) -> OverlayNetwork:
+    return reference_network_from_dict(_load_json(path))
+
+
+def reference_placement_from_list(data: Any,
+                                  context: str = "placement") -> dict[int, tuple[int, ...]]:
+    """The placement list at field path context."""
+    placement: dict[int, tuple[int, ...]] = {}
+    for i, record in enumerate(_reference_list(data, context)):
+        where = f"{context}[{i}]"
+        _reference_require(record, _REFERENCE_PLACEMENT_KEYS, where)
+        node = _reference_integer(record["node"], where, "node")
+        placement[node] = tuple(_reference_integer_list(record["coords"], where, "coords"))
+        if len(placement) == i:  # the record replaced an earlier one
+            raise ConfigError(f"{where}.node: node {node} is placed more than once")
+    return placement
+
+
+def reference_base_graph_from_dict(
+    data: Mapping[str, Any], context: str, seeded: bool = True
+) -> tuple[int, int, Optional[dict[int, tuple[int, ...]]], Optional[int]]:
+    """The k, n, placement and seed (None when absent) of a base_graph
+    record; map_overlay needs k >= 1, n >= 2. Only a seeded record has a seed."""
+    _reference_require(data, {"k", "n"}, context,
+                       optional={"placement", "seed"} if seeded else {"placement"})
+    return (
+        _reference_integer(data["k"], context, "k", minimum=1),
+        _reference_integer(data["n"], context, "n", minimum=2),
+        (reference_placement_from_list(data["placement"], f"{context}.placement")
+         if "placement" in data else None),
+        _reference_integer(data["seed"], context, "seed") if "seed" in data else None,
+    )
+
+
+def reference_thresholds_from_dict(data: Mapping[str, Any],
+                                   context: str = "thresholds") -> ThresholdPolicy:
+    """The thresholds block at field path context. Each levels key is a
+    level, an integer >= 1 in decimal digits without leading zeros, so no
+    two keys name one level."""
+    _reference_require(data, set(), context, optional={"default", "levels"})
+    levels = data.get("levels", {})
+    where = f"{context}.levels"
+    if not isinstance(levels, dict):
+        raise ConfigError(f"{where}: expected an object")
+    for key in levels:
+        if not (key.isascii() and key.isdigit() and key[0] != "0"):
+            raise ConfigError(f"{where}.{key}: expected an integer level >= 1 "
+                              f"without leading zeros")
+    try:
+        return ThresholdPolicy(
+            default=float(_reference_number(data.get("default", 0.0), context, "default")),
+            per_level={int(l): float(_reference_number(t, where, l)) for l, t in levels.items()},
+        )
+    except ValueError as exc:  # the policy's range check names the key first
+        raise ConfigError(f"{context}.{exc}") from exc
+
+
+def reference_pstar_mode_from_dict(data: Mapping[str, Any], context: str) -> ThresholdPolicy:
+    """The adaption rule of the scenario or instance record at field path
+    context: its thresholds block, with its pstar_mode key as the mode."""
+    policy = reference_thresholds_from_dict(data.get("thresholds", {}), f"{context}.thresholds")
+    try:
+        return replace(policy, mode=PStarMode(data.get("pstar_mode", "measured")))
+    except ValueError as exc:
+        raise ConfigError(f"{context}.pstar_mode: {exc}") from exc
+
+
+def reference_generator_from_dict(data: Mapping[str, Any], context: str) -> GeneratorParams:
+    _reference_require(data, set(), context, optional={f.name for f in fields(GeneratorParams)})
+    try:
+        return GeneratorParams(**{
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in data.items()
+        })
+    except ConfigError as exc:
+        # GeneratorParams names the field first: "swap_range: ...".
+        raise ConfigError(f"{context}.{exc}") from exc
+
+
+def reference_demand_from_dict(data: Mapping[str, Any], context: str) -> Demand:
+    _reference_require(data, _REFERENCE_DEMAND_KEYS, context, optional=_REFERENCE_DEMAND_OPTIONAL)
+    try:
+        return Demand(
+            user=_reference_integer(data["user"], context, "user"),
+            source=_reference_integer(data["source"], context, "source"),
+            target=_reference_integer(data["target"], context, "target"),
+            rate=_reference_number(data.get("rate", 0.0), context, "rate"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def reference_demands_from_list(data: Any, context: str) -> tuple[Demand, ...]:
+    return tuple(
+        reference_demand_from_dict(d, f"{context}[{i}]")
+        for i, d in enumerate(_reference_list(data, context))
+    )
+
+
+def reference_instance_from_dict(
+    data: Mapping[str, Any], base_dir: Optional[FilePath] = None
+) -> AssignmentInstance:
+    _reference_require(
+        data,
+        {"base_graph", "demands", "resource_sets"},
+        "instance",
+        optional={"network", "network_file", "thresholds", "pstar_mode", "interference"},
+    )
+    if ("network" in data) == ("network_file" in data):
+        raise ConfigError("instance: provide exactly one of network, network_file")
+    network_file = network_file_from_dict(data, "instance", base_dir)
+    network = (reference_network_from_dict(data["network"], "instance.network")
+               if network_file is None else reference_load_network(network_file))
+    k, n, placement, seed = reference_base_graph_from_dict(
+        data["base_graph"], "instance.base_graph")
+    if placement is None and seed is None:  # else each load would place anew
+        raise ConfigError("instance.base_graph: provide placement or seed")
+    try:
+        graph = map_overlay(network, k, n, placement=placement, seed=seed)
+    except BASE_GRAPH_FAULTS as exc:
+        raise base_graph_fault(exc, "instance.base_graph") from None
+    adapted = adapt(graph, network, reference_pstar_mode_from_dict(data, "instance"))
+    demands = reference_demands_from_list(data["demands"], "instance.demands")
+    resource_sets = {}
+    for i, record in enumerate(_reference_list(data["resource_sets"], "instance.resource_sets")):
+        where = f"instance.resource_sets[{i}]"
+        _reference_require(record, _REFERENCE_RESOURCE_SET_KEYS, where)
+        link = _reference_integer(record["link"], where, "link")
+        states = _reference_integer_list(record["states"], where, "states")
+        try:
+            resource_sets[link] = ResourceSet(link=link, states=tuple(states))
+        except ValueError as exc:
+            raise ConfigError(f"{where}.states: {exc}") from exc
+        if len(resource_sets) == i:  # the record replaced an earlier one
+            raise ConfigError(f"{where}.link: link {link} has more than one resource set")
+    interference = []
+    for i, record in enumerate(
+            _reference_list(data.get("interference", []), "instance.interference")):
+        where = f"instance.interference[{i}]"
+        _reference_require(record, _REFERENCE_INTERFERENCE_KEYS, where)
+        try:
+            interference.append(InterferenceSet(
+                link=_reference_integer(record["link"], where, "link"),
+                state=_reference_integer(record["state"], where, "state"),
+                competing=_reference_integer_pairs(record["competing"], where, "competing"),
+            ))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    instance = AssignmentInstance(
+        network=network,
+        graph=graph,
+        adapted=adapted,
+        demands=demands,
+        resource_sets=resource_sets,
+        interference=tuple(interference),
+    )
+    violations = validate_instance(instance)
+    if violations:
+        raise ConfigError("; ".join(v.message for v in violations))
+    return instance
+
+
+def reference_load_instance(path: PathLike) -> AssignmentInstance:
+    path = FilePath(path)
+    return reference_instance_from_dict(_load_json(path), base_dir=path.parent)
+
+
+def reference_conflict_graph_from_dict(data: Mapping[str, Any]) -> ConflictGraph:
+    _reference_require(data, {"vertices", "edges"}, "graph")
+    vertices: set[int] = set()
+    for i, vertex in enumerate(_reference_integer_list(data["vertices"], "graph", "vertices")):
+        vertices.add(vertex)
+        if len(vertices) == i:  # the vertex was listed before
+            raise ConfigError(f"graph.vertices[{i}]: vertex {vertex} appears more than once")
+    try:
+        return make_conflict_graph(
+            vertices,
+            _reference_integer_pairs(data["edges"], "graph", "edges"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"graph: {exc}") from exc
+
+
+def reference_scenario_from_dict(data: Mapping[str, Any],
+                                 base_dir: Optional[FilePath] = None) -> Scenario:
+    _reference_require(
+        data,
+        {"seed", "trials", "base_graph", "demands"},
+        "scenario",
+        optional={"network", "network_file", "generator", "thresholds",
+                  "pstar_mode", "failures"},
+    )
+    k, n, placement, _ = reference_base_graph_from_dict(
+        data["base_graph"], "scenario.base_graph", seeded=False)
+    return Scenario(
+        seed=_reference_integer(data["seed"], "scenario", "seed"),
+        trials=_reference_integer(data["trials"], "scenario", "trials", minimum=1),
+        network_file=network_file_from_dict(data, "scenario", base_dir),
+        # Scenario.__post_init__ checks the inline network as a whole.
+        network_inline=(_reference_network_records_from_dict(data["network"], "scenario.network")
+                        if "network" in data else None),
+        generator=(reference_generator_from_dict(data["generator"], "scenario.generator")
+                   if "generator" in data else None),
+        k=k,
+        n=n,
+        placement=placement,
+        thresholds=reference_pstar_mode_from_dict(data, "scenario"),
+        demands=reference_demands_from_list(data["demands"], "scenario.demands"),
+        failures=tuple(
+            failure_from_dict(f, f"scenario.failures[{i}]")
+            for i, f in enumerate(_reference_list(data.get("failures", []), "scenario.failures"))
+        ),
+    )
