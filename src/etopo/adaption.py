@@ -108,7 +108,9 @@ def _p_star(links: Iterable[EntangledLink], policy: ThresholdPolicy) -> dict[Lin
         pr = link.swap_success * (1.0 - link.photon_loss) * link.fidelity
         threshold = per_level.get(link.level, default)
         if not pr < threshold:
-            retained[link.id] = pr if measured else threshold
+            # A measured 1.0, every lattice link's, is stored as the one
+            # constant 1.0 rather than as a new float per link.
+            retained[link.id] = (pr if pr != 1.0 else 1.0) if measured else threshold
     return retained
 
 

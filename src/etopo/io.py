@@ -254,15 +254,24 @@ def _write_file(text: str, path: PathLike) -> None:
     # The file is cut to length only when it held more than the payload.
     # An output that cannot be opened or written (a full disk, say) raises
     # ConfigError naming its path, as an input file that cannot be read does.
+    # A write that fails after some bytes went in cuts the file to length 0,
+    # so it holds its old bytes or nothing, never new bytes over an old tail.
     data = text.encode("utf-8")
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        view = memoryview(data)
         try:
-            view = memoryview(data)
             while view:
                 view = view[os.write(fd, view):]
             if os.fstat(fd).st_size > len(data):
                 os.ftruncate(fd, len(data))
+        except OSError:
+            if len(view) < len(data):
+                try:
+                    os.ftruncate(fd, 0)
+                except OSError:
+                    pass  # the first fault is the one to name
+            raise
         finally:
             os.close(fd)
     except OSError as exc:

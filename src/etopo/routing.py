@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from operator import sub
 from typing import AbstractSet, Mapping, NamedTuple, Optional
 
@@ -84,6 +85,16 @@ _set_path_nodes, _set_path_links = slot_setters(Path)
 _set_status, _set_path, _set_steps_taken = slot_setters(RoutingOutcome)
 
 
+@lru_cache(maxsize=8)
+def _gaps(n: int) -> tuple[int, ...]:
+    """abs(i - (n - 1)) for i in [0, 2n - 1), one lattice side's gap table.
+
+    Its slice [n - 1 - t, 2n - 1 - t) holds abs(c - t) at index c, for
+    each cell coordinate c in [0, n) and target coordinate t in [0, n).
+    """
+    return tuple(abs(i - (n - 1)) for i in range(2 * n - 1))
+
+
 def route(
     graph: BaseGraph,
     adapted: AdaptedLinkSet,
@@ -106,8 +117,13 @@ def route(
     contact's cell read from its adjacency row. The scan reads a contact's
     cell first, and its neighbor and link only for a contact it keeps. On
     a planar graph (k == 2) the distance is abs(x - tx) + abs(y - ty) from
-    the unpacked cell; for any other k it is summed over the coordinates.
-    Both give the same integer, so outcomes are the same for every k.
+    the unpacked cell. When n is at most the number of placed nodes, so
+    that a table is no larger than the graph, the two terms are read from
+    per-call gap tables, dxs[x] and dys[y], sliced from one cached tuple
+    per side length; otherwise they are computed. For any other k the
+    distance is summed over the coordinates. All give the same integer, so
+    outcomes are the same for every k. steps_taken is the walk's pushes
+    plus its pops.
 
     With a plan, the walk returns BLOCKED (no path, the steps so far) as
     soon as the path it would return is sure to hold a node of
@@ -126,20 +142,28 @@ def route(
     if source == target:
         return RoutingOutcome(RouteStatus.FOUND, Path((source,), ()), 0)
 
+    n = graph.n
     planar = graph.k == 2
+    tables = planar and n <= len(graph.placement)
     if planar:
         tx, ty = target_coord
+        if tables:
+            gaps = _gaps(n)
+            dxs = gaps[n - 1 - tx:2 * n - 1 - tx]
+            dys = gaps[n - 1 - ty:2 * n - 1 - ty]
     # Above every L1 distance on the lattice, as each coordinate is in [0, n).
-    beyond = graph.k * graph.n
+    beyond = graph.k * n
     if plan is not None:
         position, walked = plan
         # The furthest plan position among the visited nodes.
         furthest = position.get(source, -1)
+    row_of = adjacency.get
     visited = {source}
     stack: list[NodeId] = [source]
     link_stack: list[LinkId] = []
-    steps = 0
-    while stack:
+    current = source
+    pops = 0
+    while True:
         # Rows are sorted by (node, link), so keeping the first strictly
         # closer unvisited contact breaks distance ties by lowest node, then
         # link. A contact's distance is read off its cell alone; visited is
@@ -147,15 +171,21 @@ def route(
         # link are read only from the one kept.
         best_dist, best = beyond, None
         try:
-            if planar:
-                for contact in adjacency.get(stack[-1], ()):
+            if tables:
+                for contact in row_of(current, ()):
+                    x, y = contact[2]
+                    dist = dxs[x] + dys[y]
+                    if dist < best_dist and contact[0] not in visited:
+                        best_dist, best = dist, contact
+            elif planar:
+                for contact in row_of(current, ()):
                     x, y = contact[2]
                     # abs(x - tx) + abs(y - ty), without the two calls
                     dist = (x - tx if x > tx else tx - x) + (y - ty if y > ty else ty - y)
                     if dist < best_dist and contact[0] not in visited:
                         best_dist, best = dist, contact
             else:
-                for contact in adjacency.get(stack[-1], ()):
+                for contact in row_of(current, ()):
                     dist = sum(map(abs, map(sub, contact[2], target_coord)))
                     if dist < best_dist and contact[0] not in visited:
                         best_dist, best = dist, contact
@@ -164,27 +194,33 @@ def route(
             raise NotFoundError(
                 f"node {contact[0]} is not mapped in the base-graph"
             ) from None
-        steps += 1
-        if best is None:
+        # Each step pushes one node or pops one, and every push visits a
+        # new node, so the steps so far are len(visited) - 1 + pops.
+        if best_dist == beyond:
+            pops += 1
             stack.pop()
-            if link_stack:
-                link_stack.pop()
+            if not stack:
+                return RoutingOutcome(RouteStatus.UNREACHABLE, None, len(visited) - 1 + pops)
+            link_stack.pop()
+            current = stack[-1]
             continue
-        best_nbr, best_lid, _ = best
-        visited.add(best_nbr)
-        stack.append(best_nbr)
+        current, best_lid, _ = best
+        visited.add(current)
+        stack.append(current)
         link_stack.append(best_lid)
-        if best_nbr == target:
+        if current == target:
             return RoutingOutcome(
-                RouteStatus.FOUND, Path(tuple(stack), tuple(link_stack)), steps
+                RouteStatus.FOUND, Path(tuple(stack), tuple(link_stack)),
+                len(visited) - 1 + pops,
             )
         if plan is not None:
-            at = position.get(best_nbr, -1)
+            at = position.get(current, -1)
             if at > furthest:
                 furthest = at
                 if not walked.isdisjoint(stack):
-                    return RoutingOutcome(RouteStatus.BLOCKED, None, steps)
-    return RoutingOutcome(RouteStatus.UNREACHABLE, None, steps)
+                    return RoutingOutcome(
+                        RouteStatus.BLOCKED, None, len(visited) - 1 + pops
+                    )
 
 
 def shortest_path_oracle(

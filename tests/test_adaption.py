@@ -318,6 +318,42 @@ class TestThresholdRule:
                 )
         assert at_threshold > 0
 
+    @pytest.mark.parametrize("mode", list(PStarMode))
+    def test_values_and_reprs_match_per_link_rule(self, mode):
+        # adapt stores a measured 1.0 as one shared float; a -0.0 keeps its
+        # sign, so the reprs of the map are the per-link rule's.
+        rng = random.Random(53)
+        ones = negative_zeros = 0
+        for _ in range(40):
+            links = list(random_overlay(rng, 7, 12).links)
+            links[0] = replace(links[0], swap_success=-0.0)
+            links[1] = replace(links[1], swap_success=1.0, photon_loss=0.0, fidelity=1.0)
+            net = make_network(range(7), links)
+            graph = map_overlay(net, k=2, n=8, seed=rng.randrange(2**32))
+            policy = ThresholdPolicy(
+                per_level={l: rng.choice([0.0, rng.random()]) for l in (1, 2, 3)},
+                mode=mode,
+            )
+            expected = {}
+            for link in net.links:
+                meets, p_star = reference_link_update(link, policy, mode)
+                if meets:
+                    expected[link.id] = p_star
+            got = adapt(graph, net, policy).p_star_by_link
+            assert [(lid, repr(p)) for lid, p in got.items()] == [
+                (lid, repr(p)) for lid, p in expected.items()]
+            ones += repr(got.get(1)) == "1.0"
+            negative_zeros += repr(got.get(0)) == "-0.0"
+        # Under THRESHOLD a retained link takes its level's threshold instead.
+        if mode is PStarMode.MEASURED:
+            assert ones > 0 and negative_zeros > 0
+
+    def test_lattice_map_holds_one_float(self):
+        net, graph = kleinberg_lattice(64, 3)
+        p_star = adapt(graph, net, ThresholdPolicy(default=0.5)).p_star_by_link
+        assert len(p_star) == len(net.links)
+        assert len(set(map(id, p_star.values()))) == 1
+
 
 class TestAdaptAndRoute:
     def test_zero_threshold_matches_plain_routing(self):

@@ -28,13 +28,17 @@ node it lacks: the error names the flag, and the file that a flag names
 when that file is at fault.
 
 And so must a file that a command cannot write: each command that writes
-one, told to write to /dev/full, names that path.
+one, told to write to /dev/full, names that path. A write that fails part
+way leaves the file empty, not new bytes over the old file's tail.
 """
 
 import codecs
 import copy
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -427,3 +431,30 @@ def test_failed_write_exits_config_error(command, flags, tmp_path, capsys):
     argv = [command, *(flag.format(**paths) for flag in flags), "--out", "/dev/full"]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: /dev/full: ")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
+def test_part_way_write_failure_leaves_an_empty_file(tmp_path):
+    # Under a small RLIMIT_FSIZE the first write of the network stops at the
+    # limit and the next fails with EFBIG (Python ignores SIGXFSZ). The old
+    # file is longer than the network, so a write left as it stopped would
+    # hold new bytes over its tail.
+    import resource
+
+    limit = 64
+
+    def small_files():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    out = tmp_path / "network.json"
+    out.write_bytes(b"x" * 100_000)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "etopo", "generate", "--nodes", "20", "--links", "30",
+         "--seed", "1", "--out", str(out)],
+        env=env, preexec_fn=small_files, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert done.stderr.startswith(f"error: {out}: ")
+    assert out.read_bytes() == b""

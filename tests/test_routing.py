@@ -27,6 +27,7 @@ from etopo.assignment import enumerate_simple_paths
 from etopo.routing import Plan
 from util import (
     random_embedded,
+    random_overlay,
     reference_oracle,
     reference_plan_route,
     reference_route,
@@ -379,3 +380,56 @@ class TestPlanRouteReference:
         seen = Counter()
         self.assert_matches(random.Random(7), graph, adapted, sorted(net.nodes), 150, seen)
         assert seen.keys() == set(RouteStatus)
+
+
+class TestRouteAtTheEdges:
+    """route against reference_plan_route, with and without a plan, on the
+    smallest lattices, where every cell or nearly every one lies on a
+    border, and on a planar lattice on both sides of the gap-table guard:
+    the tables are read when n is at most the number of placed nodes."""
+
+    @staticmethod
+    def assert_all_pairs_match(rng, graph, adapted, seen):
+        nodes = sorted(graph.placement)
+        for source in nodes:
+            for target in nodes:
+                for plan in (None, random_plan(rng, graph, adapted, target)):
+                    got = route(graph, adapted, source, target, plan=plan)
+                    assert got == reference_plan_route(
+                        graph, adapted, source, target, plan=plan)
+                    seen[got.status] += 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("side", [2, 3])
+    def test_smallest_lattices(self, k, side):
+        rng = random.Random(10 * k + side)
+        seen = Counter()
+        for _ in range(25):
+            num_nodes = rng.randint(2, side**k)
+            _, graph, adapted = random_embedded(
+                rng, num_nodes=num_nodes, num_links=rng.randint(1, 2 * num_nodes),
+                k=k, n=side, threshold=rng.choice([0.0, 0.3, 0.6]))
+            self.assert_all_pairs_match(rng, graph, adapted, seen)
+        assert seen[RouteStatus.FOUND] and seen[RouteStatus.UNREACHABLE]
+
+    @pytest.mark.parametrize("side", [3, 5, 9])
+    @pytest.mark.parametrize("spare", [0, 1], ids=["tables", "arithmetic"])
+    def test_both_sides_of_the_table_guard(self, side, spare):
+        # side - spare nodes: n == len(placement) reads the tables, and
+        # n == len(placement) + 1 computes the gaps. The corners are placed
+        # first, so targets sit on every corner and on borders.
+        rng = random.Random(side)
+        corners = [(0, 0), (0, side - 1), (side - 1, 0), (side - 1, side - 1)]
+        inner = [(x, y) for x in range(side) for y in range(side) if (x, y) not in corners]
+        seen = Counter()
+        for _ in range(30):
+            cells = (corners + rng.sample(inner, len(inner)))[:side - spare]
+            rng.shuffle(cells)
+            num_links = rng.randint(1, 3 * len(cells))
+            network = random_overlay(rng, len(cells), num_links)
+            graph = map_overlay(network, k=2, n=side, placement=dict(enumerate(cells)))
+            assert graph.n == len(graph.placement) + spare
+            adapted = adapt(graph, network,
+                            ThresholdPolicy(default=rng.choice([0.0, 0.3, 0.6])))
+            self.assert_all_pairs_match(rng, graph, adapted, seen)
+        assert seen[RouteStatus.FOUND] and seen[RouteStatus.UNREACHABLE]
