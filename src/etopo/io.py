@@ -254,8 +254,8 @@ def _write_file(text: str, path: PathLike) -> None:
     # The file is cut to length only when it held more than the payload.
     # An output that cannot be opened or written (a full disk, say) raises
     # ConfigError naming its path, as an input file that cannot be read does.
-    # A write that fails after some bytes went in cuts the file to length 0,
-    # so it holds its old bytes or nothing, never new bytes over an old tail.
+    # A write that fails after some bytes went in cuts the file to length 0:
+    # never new bytes over an old tail, but the old output is then lost.
     data = text.encode("utf-8")
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)

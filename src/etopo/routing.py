@@ -116,14 +116,12 @@ def route(
     The distance to the target is the L1 distance of the cells, each
     contact's cell read from its adjacency row. The scan reads a contact's
     cell first, and its neighbor and link only for a contact it keeps. On
-    a planar graph (k == 2) the distance is abs(x - tx) + abs(y - ty) from
-    the unpacked cell. When n is at most the number of placed nodes, so
-    that a table is no larger than the graph, the two terms are read from
-    per-call gap tables, dxs[x] and dys[y], sliced from one cached tuple
-    per side length; otherwise they are computed. For any other k the
-    distance is summed over the coordinates. All give the same integer, so
-    outcomes are the same for every k. steps_taken is the walk's pushes
-    plus its pops.
+    a planar graph (k == 2) it is dxs[x] + dys[y], read from two per-call
+    gap tables, abs(c - tx) and abs(c - ty) at index c, sliced from one
+    cached tuple per side length; the slices cost O(n) per call. For any
+    other k the distance is summed over the coordinates. Both give the same
+    integer, so outcomes are the same for every k. steps_taken is the
+    walk's pushes plus its pops.
 
     With a plan, the walk returns BLOCKED (no path, the steps so far) as
     soon as the path it would return is sure to hold a node of
@@ -144,13 +142,11 @@ def route(
 
     n = graph.n
     planar = graph.k == 2
-    tables = planar and n <= len(graph.placement)
     if planar:
         tx, ty = target_coord
-        if tables:
-            gaps = _gaps(n)
-            dxs = gaps[n - 1 - tx:2 * n - 1 - tx]
-            dys = gaps[n - 1 - ty:2 * n - 1 - ty]
+        gaps = _gaps(n)
+        dxs = gaps[n - 1 - tx:2 * n - 1 - tx]
+        dys = gaps[n - 1 - ty:2 * n - 1 - ty]
     # Above every L1 distance on the lattice, as each coordinate is in [0, n).
     beyond = graph.k * n
     if plan is not None:
@@ -171,17 +167,10 @@ def route(
         # link are read only from the one kept.
         best_dist, best = beyond, None
         try:
-            if tables:
+            if planar:
                 for contact in row_of(current, ()):
                     x, y = contact[2]
                     dist = dxs[x] + dys[y]
-                    if dist < best_dist and contact[0] not in visited:
-                        best_dist, best = dist, contact
-            elif planar:
-                for contact in row_of(current, ()):
-                    x, y = contact[2]
-                    # abs(x - tx) + abs(y - ty), without the two calls
-                    dist = (x - tx if x > tx else tx - x) + (y - ty if y > ty else ty - y)
                     if dist < best_dist and contact[0] not in visited:
                         best_dist, best = dist, contact
             else:

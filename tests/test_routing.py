@@ -385,8 +385,8 @@ class TestPlanRouteReference:
 class TestRouteAtTheEdges:
     """route against reference_plan_route, with and without a plan, on the
     smallest lattices, where every cell or nearly every one lies on a
-    border, and on a planar lattice on both sides of the gap-table guard:
-    the tables are read when n is at most the number of placed nodes."""
+    border, and on planar lattices with their corners placed first, from
+    fewer placed nodes than n to every cell placed."""
 
     @staticmethod
     def assert_all_pairs_match(rng, graph, adapted, seen):
@@ -413,22 +413,18 @@ class TestRouteAtTheEdges:
         assert seen[RouteStatus.FOUND] and seen[RouteStatus.UNREACHABLE]
 
     @pytest.mark.parametrize("side", [3, 5, 9])
-    @pytest.mark.parametrize("spare", [0, 1], ids=["tables", "arithmetic"])
-    def test_both_sides_of_the_table_guard(self, side, spare):
-        # side - spare nodes: n == len(placement) reads the tables, and
-        # n == len(placement) + 1 computes the gaps. The corners are placed
-        # first, so targets sit on every corner and on borders.
+    def test_corner_and_border_targets(self, side):
+        # The corners are placed first, so targets sit on corners and on
+        # borders, on graphs with fewer placed nodes than n and more.
         rng = random.Random(side)
         corners = [(0, 0), (0, side - 1), (side - 1, 0), (side - 1, side - 1)]
         inner = [(x, y) for x in range(side) for y in range(side) if (x, y) not in corners]
         seen = Counter()
-        for _ in range(30):
-            cells = (corners + rng.sample(inner, len(inner)))[:side - spare]
+        for num_nodes in [side - 1, side, side + 1] * 6 + [side * side] * 2:
+            cells = (corners + rng.sample(inner, len(inner)))[:num_nodes]
             rng.shuffle(cells)
-            num_links = rng.randint(1, 3 * len(cells))
-            network = random_overlay(rng, len(cells), num_links)
+            network = random_overlay(rng, num_nodes, rng.randint(1, 3 * num_nodes))
             graph = map_overlay(network, k=2, n=side, placement=dict(enumerate(cells)))
-            assert graph.n == len(graph.placement) + spare
             adapted = adapt(graph, network,
                             ThresholdPolicy(default=rng.choice([0.0, 0.3, 0.6])))
             self.assert_all_pairs_match(rng, graph, adapted, seen)
